@@ -189,16 +189,50 @@ class LuFactorization {
     return x;
   }
 
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B for every column at once, in row-axpy form: row i of X
+  /// takes the updates X[i,:] -= LU(i,j) X[j,:], four rows j per pass over
+  /// contiguous memory. Every column still sees exactly the operation
+  /// sequence of solve(vector), so the result is bitwise the
+  /// column-by-column solve.
   Matrix<T> solve(const Matrix<T>& b) const {
     const std::size_t n = lu_.rows();
+    const std::size_t w = b.cols();
     CNTI_EXPECTS(b.rows() == n, "rhs rows mismatch");
-    Matrix<T> x(n, b.cols());
-    std::vector<T> col(n);
-    for (std::size_t c = 0; c < b.cols(); ++c) {
-      for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-      auto sol = solve(col);
-      for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
+    Matrix<T> x(n, w);
+    if (w == 0) return x;
+    // X[i,:] -= sum_{j in [j0, j1)} LU(i,j) X[j,:], in j order.
+    const auto eliminate = [&](std::size_t i, std::size_t j0,
+                               std::size_t j1) {
+      T* xi = &x(i, 0);
+      std::size_t j = j0;
+      for (; j + 4 <= j1; j += 4) {
+        const T f0 = lu_(i, j), f1 = lu_(i, j + 1), f2 = lu_(i, j + 2),
+                f3 = lu_(i, j + 3);
+        const T* x0 = &x(j, 0);
+        const T* x1 = &x(j + 1, 0);
+        const T* x2 = &x(j + 2, 0);
+        const T* x3 = &x(j + 3, 0);
+        for (std::size_t c = 0; c < w; ++c) {
+          xi[c] = xi[c] - f0 * x0[c] - f1 * x1[c] - f2 * x2[c] - f3 * x3[c];
+        }
+      }
+      for (; j < j1; ++j) {
+        const T f = lu_(i, j);
+        const T* xj = &x(j, 0);
+        for (std::size_t c = 0; c < w; ++c) xi[c] -= f * xj[c];
+      }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const T* bi = &b(perm_[i], 0);
+      T* xi = &x(i, 0);
+      for (std::size_t c = 0; c < w; ++c) xi[c] = bi[c];
+      eliminate(i, 0, i);
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      eliminate(ii, ii + 1, n);
+      const T d = lu_(ii, ii);
+      T* xi = &x(ii, 0);
+      for (std::size_t c = 0; c < w; ++c) xi[c] /= d;
     }
     return x;
   }

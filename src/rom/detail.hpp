@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "numerics/matrix.hpp"
+#include "rom/reduced_model.hpp"
 
 namespace cnti::rom::detail {
 
@@ -32,5 +34,42 @@ inline double dot(const std::vector<double>& a,
 inline double norm2(const std::vector<double>& v) {
   return std::sqrt(dot(v, v));
 }
+
+/// y[0, n) += a * x[0, n): the contiguous update the reduced transient and
+/// the termination fold are built from (the compiler vectorizes it).
+inline void axpy(double a, const double* __restrict__ x,
+                 double* __restrict__ y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+/// y[0, n) += sum_k a[k] * rows[k * stride + (0, n)] for k in [0, count):
+/// axpy over several rows, four per pass so y is loaded and stored once
+/// per four rows. Each y[i] still adds the terms in k order, so the result
+/// is bitwise that of `count` successive axpy calls.
+inline void axpy_rows(const double* a, const double* rows, std::size_t stride,
+                      std::size_t count, double* __restrict__ y,
+                      std::size_t n) {
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const double a0 = a[k], a1 = a[k + 1], a2 = a[k + 2], a3 = a[k + 3];
+    const double* __restrict__ r0 = rows + k * stride;
+    const double* __restrict__ r1 = r0 + stride;
+    const double* __restrict__ r2 = r1 + stride;
+    const double* __restrict__ r3 = r2 + stride;
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = y[i] + a0 * r0[i] + a1 * r1[i] + a2 * r2[i] + a3 * r3[i];
+    }
+  }
+  for (; k < count; ++k) axpy(a[k], rows + k * stride, y, n);
+}
+
+/// Folds shunt port terminations into g and c (q x q) as the rank-1
+/// congruence updates g += gs b l^T, c += cs b l^T of ReducedModel::
+/// terminated(), one row axpy per nonzero b entry. Validates every load
+/// against the shapes of br / lr.
+void fold_terminations(numerics::MatrixD& g, numerics::MatrixD& c,
+                       const numerics::MatrixD& br,
+                       const numerics::MatrixD& lr,
+                       const std::vector<PortTermination>& loads);
 
 }  // namespace cnti::rom::detail

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "numerics/interp.hpp"
 #include "obs/obs.hpp"
+#include "rom/detail.hpp"
 
 namespace cnti::rom {
 
@@ -81,7 +82,7 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
   CNTI_EXPECTS(time_steps >= 2, "BusRom: need at least two time steps");
   CNTI_EXPECTS(aggressor >= 0 && aggressor < lines,
                "BusRom: aggressor index out of range");
-  CNTI_EXPECTS(bare.inputs() >= 2 * lines,
+  CNTI_EXPECTS(bare.inputs() >= 2 * lines && bare.outputs() >= 2 * lines,
                "BusRom: bare model is missing head/far ports");
   static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
   static const obs::Histogram eval_hist =
@@ -102,24 +103,41 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
   for (int l = 0; l < nl; ++l) {
     loads.push_back({nl + l, nl + l, 0.0, sc.receiver_load_f});
   }
-  const ReducedModel terminated = bare.terminated(loads);
+  numerics::MatrixD g = bare.gr();
+  numerics::MatrixD c = bare.cr();
+  detail::fold_terminations(g, c, bare.br(), bare.lr(), loads);
+
+  // Only the aggressor head is driven and only the far ends are read, so
+  // the simulated model keeps just that input column and those outputs.
+  const std::size_t q = g.rows();
+  numerics::MatrixD b(q, 1);
+  numerics::MatrixD l_far(q, static_cast<std::size_t>(nl));
+  for (std::size_t i = 0; i < q; ++i) {
+    b(i, 0) = bare.br()(i, static_cast<std::size_t>(aggressor));
+    for (int l = 0; l < nl; ++l) {
+      l_far(i, static_cast<std::size_t>(l)) =
+          bare.lr()(i, static_cast<std::size_t>(nl + l));
+    }
+  }
+  const ReducedModel sliced(
+      std::move(g), std::move(c), std::move(b), std::move(l_far),
+      {bare.input_names()[static_cast<std::size_t>(aggressor)]},
+      std::vector<std::string>(bare.output_names().begin() + nl,
+                               bare.output_names().begin() + 2 * nl),
+      bare.full_order());
 
   // Norton drive: i(t) = v_edge(t) / R_driver into the aggressor head.
   circuit::PulseWave edge = circuit::bus_edge_wave(sc.vdd_v, sc.edge_time_s);
   edge.v2 /= sc.driver_ohm;
-  std::vector<circuit::Waveform> waves(
-      static_cast<std::size_t>(bare.inputs()), circuit::DcWave{0.0});
-  waves[static_cast<std::size_t>(aggressor)] = edge;
-
   const ReducedModel::Transient tr =
-      terminated.simulate(waves, t_stop_s, t_stop_s / time_steps);
+      sliced.simulate({edge}, t_stop_s, t_stop_s / time_steps);
 
   BusCrosstalkResult out;
   out.unknowns = bare.order();
   out.worst_victim = aggressor == 0 ? 1 : 0;
   for (int l = 0; l < nl; ++l) {
     if (l == aggressor) continue;
-    const auto& vn = tr.outputs[static_cast<std::size_t>(nl + l)];
+    const auto& vn = tr.outputs[static_cast<std::size_t>(l)];
     for (std::size_t i = 0; i < tr.time.size(); ++i) {
       if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
         out.peak_noise_v = vn[i];
@@ -131,7 +149,7 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
   // Same sentinel policy as analyze_bus_crosstalk: never-crossed is a
   // quiet NaN, not a negative delay.
   const double crossing = numerics::first_crossing_time(
-      tr.time, tr.outputs[static_cast<std::size_t>(nl + aggressor)],
+      tr.time, tr.outputs[static_cast<std::size_t>(aggressor)],
       sc.vdd_v / 2.0, /*rising=*/true);
   out.aggressor_delay_s =
       crossing < 0.0 ? std::numeric_limits<double>::quiet_NaN() : crossing;

@@ -47,7 +47,7 @@ BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology);
 /// (ports as in BusStateSpace): folds the scenario terminations into the
 /// reduced matrices, replaces the aggressor's Thevenin driver by its
 /// Norton equivalent at the head port, simulates [0, t_stop_s] on
-/// `time_steps` backward-Euler steps and measures worst victim noise and
+/// `time_steps` trapezoidal steps and measures worst victim noise and
 /// the aggressor 50% delay (quiet NaN if never crossed). Shared by
 /// BusRom::evaluate and ParametrizedBusRom::evaluate so both stay
 /// field-for-field comparable with analyze_bus_crosstalk.

@@ -129,6 +129,7 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
   if (corner_bases.size() == 1) {
     basis = std::move(corner_bases.front());
   } else {
+    const obs::ObsSpan merge_span("prom.merge", "rom");
     for (auto& cb : corner_bases) {
       for (auto& w : cb) {
         const double initial = norm2(w);
@@ -154,6 +155,7 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
   // (same arithmetic as prima_reduce's congruence projection). B and L are
   // port incidence columns — independent of element values — so one
   // projection from corner 0 serves every corner.
+  const obs::ObsSpan project_span("prom.project", "rom");
   corner_gr_.reserve(corner_points_.size());
   corner_cr_.reserve(corner_points_.size());
   std::vector<double> gv(n), cv(n);

@@ -1,10 +1,13 @@
 #include "rom/reduced_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
+#include <variant>
 
 #include "common/error.hpp"
 #include "numerics/eig.hpp"
+#include "obs/obs.hpp"
 #include "rom/detail.hpp"
 
 namespace cnti::rom {
@@ -58,15 +61,16 @@ int ReducedModel::output_index(const std::string& name) const {
                                  "output");
 }
 
-ReducedModel ReducedModel::terminated(
-    const std::vector<PortTermination>& loads) const {
-  MatrixD g = gr_;
-  MatrixD c = cr_;
+void detail::fold_terminations(MatrixD& g, MatrixD& c, const MatrixD& br,
+                               const MatrixD& lr,
+                               const std::vector<PortTermination>& loads) {
   const std::size_t q = g.rows();
   for (const auto& load : loads) {
-    CNTI_EXPECTS(load.input >= 0 && load.input < inputs(),
+    CNTI_EXPECTS(load.input >= 0 &&
+                     static_cast<std::size_t>(load.input) < br.cols(),
                  "terminated: input index out of range");
-    CNTI_EXPECTS(load.output >= 0 && load.output < outputs(),
+    CNTI_EXPECTS(load.output >= 0 &&
+                     static_cast<std::size_t>(load.output) < lr.cols(),
                  "terminated: output index out of range");
     CNTI_EXPECTS(load.conductance_s >= 0 && load.capacitance_f >= 0,
                  "terminated: shunt elements must be >= 0");
@@ -74,17 +78,25 @@ ReducedModel ReducedModel::terminated(
     // b l^T — exactly V^T (G_full + g e e^T) V when input and output map
     // the same node, so the terminated model is still a projection of a
     // passive network.
+    const std::vector<double> l = column(lr, load.output);
     for (std::size_t i = 0; i < q; ++i) {
-      const double bi = br_(i, static_cast<std::size_t>(load.input));
+      const double bi = br(i, static_cast<std::size_t>(load.input));
       if (bi == 0.0) continue;
-      for (std::size_t j = 0; j < q; ++j) {
-        const double lj = lr_(j, static_cast<std::size_t>(load.output));
-        if (lj == 0.0) continue;
-        g(i, j) += load.conductance_s * bi * lj;
-        c(i, j) += load.capacitance_f * bi * lj;
+      if (load.conductance_s != 0.0) {
+        detail::axpy(load.conductance_s * bi, l.data(), &g(i, 0), q);
+      }
+      if (load.capacitance_f != 0.0) {
+        detail::axpy(load.capacitance_f * bi, l.data(), &c(i, 0), q);
       }
     }
   }
+}
+
+ReducedModel ReducedModel::terminated(
+    const std::vector<PortTermination>& loads) const {
+  MatrixD g = gr_;
+  MatrixD c = cr_;
+  detail::fold_terminations(g, c, br_, lr_, loads);
   ReducedModel out(std::move(g), std::move(c), br_, lr_, input_names_,
                    output_names_, full_order_);
   out.basis_ = basis_;  // same projection span; see basis()
@@ -199,60 +211,79 @@ ReducedModel::Transient ReducedModel::simulate(
   CNTI_EXPECTS(t_stop_s > 0, "simulate: t_stop must be positive");
   CNTI_EXPECTS(dt_s > 0 && dt_s < t_stop_s,
                "simulate: dt must be positive and below t_stop");
+  static const obs::Counter step_count = obs::counter("cnti.rom.steps");
   const std::size_t q = gr_.rows();
   const std::size_t m = br_.cols();
   const std::size_t p = lr_.cols();
 
-  const auto input_at = [&](double t) {
-    std::vector<double> u(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      u[k] = circuit::waveform_value(input_waves[k], t);
-    }
-    return u;
-  };
+  // Only driven inputs enter the propagator: an input held at 0 V / 0 A
+  // contributes exactly nothing.
+  std::vector<std::size_t> driven;
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto* dc = std::get_if<circuit::DcWave>(&input_waves[k]);
+    if (dc == nullptr || dc->value != 0.0) driven.push_back(k);
+  }
+  const std::size_t md = driven.size();
 
-  // DC start: Gr x0 = Br u(0), matching the full engine's operating-point
-  // initialisation.
-  std::vector<double> u_prev = input_at(0.0);
-  std::vector<double> x = LuFactorization<double>(gr_).solve(br_ * u_prev);
-
-  // Trapezoidal: (2C/dt + G) x1 = (2C/dt - G) x0 + B (u0 + u1). The left
-  // matrix is factored once; each step is a matvec and a back-substitution.
+  // Trapezoidal: (2C/dt + G) x1 = (2C/dt - G) x0 + B (u0 + u1). One
+  // multi-right-hand-side solve turns it into the explicit propagator
+  //   x1 = M x0 + Bh (u0 + u1),  [M | Bh] = (2C/dt + G)^-1 [2C/dt - G | B],
+  // stored transposed (column-major) so a step is q + md contiguous axpys.
   MatrixD lhs = cr_;
   lhs *= 2.0 / dt_s;
-  MatrixD rhs_mat = lhs;
+  MatrixD rhs(q, q + md);
+  for (std::size_t i = 0; i < q; ++i) {
+    for (std::size_t j = 0; j < q; ++j) rhs(i, j) = lhs(i, j) - gr_(i, j);
+    for (std::size_t k = 0; k < md; ++k) rhs(i, q + k) = br_(i, driven[k]);
+  }
   lhs += gr_;
-  rhs_mat -= gr_;
-  const LuFactorization<double> step_lu(lhs);
+  const MatrixD prop = LuFactorization<double>(lhs).solve(rhs).transpose();
+
+  // z = [x; u_prev + u] is the propagator's input vector. DC start:
+  // Gr x0 = Br u(0), matching the full engine's operating-point
+  // initialisation; with every input at 0 at t = 0, x0 is exactly 0.
+  std::vector<double> z(q + md, 0.0);
+  std::vector<double> u_prev(md);
+  for (std::size_t k = 0; k < md; ++k) {
+    u_prev[k] = circuit::waveform_value(input_waves[driven[k]], 0.0);
+  }
+  if (std::any_of(u_prev.begin(), u_prev.end(),
+                  [](double u) { return u != 0.0; })) {
+    std::vector<double> u0(m, 0.0);
+    for (std::size_t k = 0; k < md; ++k) u0[driven[k]] = u_prev[k];
+    const std::vector<double> x0 =
+        LuFactorization<double>(gr_).solve(br_ * u0);
+    std::copy(x0.begin(), x0.end(), z.begin());
+  }
 
   // Same grid construction as circuit::simulate_transient, so ROM and full
   // MNA waveforms are directly comparable sample-by-sample.
   const auto steps =
       static_cast<std::size_t>(std::ceil(t_stop_s / dt_s - 1e-9)) + 1;
+  step_count.add(steps - 1);
   Transient out;
   out.time.resize(steps);
   out.outputs.assign(p, std::vector<double>(steps, 0.0));
+  std::vector<double> x_next(q), y(p);
   const auto record = [&](std::size_t step, double t) {
     out.time[step] = t;
-    for (std::size_t j = 0; j < p; ++j) {
-      double y = 0.0;
-      for (std::size_t i = 0; i < q; ++i) y += lr_(i, j) * x[i];
-      out.outputs[j][step] = y;
-    }
+    if (p == 0) return;
+    std::fill(y.begin(), y.end(), 0.0);
+    detail::axpy_rows(z.data(), &lr_(0, 0), p, q, y.data(), p);
+    for (std::size_t j = 0; j < p; ++j) out.outputs[j][step] = y[j];
   };
   record(0, 0.0);
 
-  std::vector<double> rhs(q);
   for (std::size_t step = 1; step < steps; ++step) {
     const double t = static_cast<double>(step) * dt_s;
-    const std::vector<double> u = input_at(t);
-    rhs = rhs_mat * x;
-    std::vector<double> usum(m);
-    for (std::size_t k = 0; k < m; ++k) usum[k] = u_prev[k] + u[k];
-    const std::vector<double> bu = br_ * usum;
-    for (std::size_t i = 0; i < q; ++i) rhs[i] += bu[i];
-    x = step_lu.solve(rhs);
-    u_prev = u;
+    for (std::size_t k = 0; k < md; ++k) {
+      const double u = circuit::waveform_value(input_waves[driven[k]], t);
+      z[q + k] = u_prev[k] + u;
+      u_prev[k] = u;
+    }
+    std::fill(x_next.begin(), x_next.end(), 0.0);
+    detail::axpy_rows(z.data(), &prop(0, 0), q, q + md, x_next.data(), q);
+    std::copy(x_next.begin(), x_next.end(), z.begin());
     record(step, t);
   }
   return out;

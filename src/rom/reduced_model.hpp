@@ -113,8 +113,11 @@ class ReducedModel {
   };
 
   /// Trapezoidal integration from the DC operating point at t = 0; one
-  /// waveform per input. Cost: one q x q factorization plus O(q^2) per
-  /// step.
+  /// waveform per input. Setup factors 2C/dt + G once and solves it for
+  /// the propagator [M | Bh] over the driven inputs (those not DcWave{0});
+  /// each step is then x <- M x + Bh (u_k + u_k+1) and y = Lr^T x, all
+  /// contiguous axpys into buffers allocated once per call. The DC solve
+  /// is skipped when every input is 0 at t = 0 (x0 is then exactly 0).
   Transient simulate(const std::vector<circuit::Waveform>& input_waves,
                      double t_stop_s, double dt_s) const;
 

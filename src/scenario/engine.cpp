@@ -203,7 +203,7 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v4: the sparse LU gained the supernodal kernel (kAuto default);
       // last-bit rounding differs from the scalar path, so persisted
       // numeric leaves from the scalar era are retired wholesale.
-      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v4",
+      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v5",
                                            topology.line);
       eval_key.add(topology.coupling_cap_per_m)
           .add(topology.length_m)

@@ -24,9 +24,29 @@ namespace {
                            std::strerror(errno));
 }
 
-/// Sends the full buffer (looping over partial writes). MSG_NOSIGNAL: a
-/// client that hung up must surface as an error return, not SIGPIPE.
+/// Service-tier obs handles (`cnti.service.*`).
+struct ServiceObs {
+  obs::Counter connections = obs::counter("cnti.service.connections");
+  obs::Counter requests = obs::counter("cnti.service.requests");
+  obs::Counter errors = obs::counter("cnti.service.errors");
+  obs::Counter batches = obs::counter("cnti.service.batches");
+  obs::Counter scenarios = obs::counter("cnti.service.scenarios");
+  obs::Counter writes = obs::counter("cnti.service.writes");
+  obs::Gauge queue_depth = obs::gauge("cnti.service.queue_depth");
+  obs::Histogram request_hist = obs::histogram("cnti.service.request_ns");
+  obs::Histogram dispatch_hist = obs::histogram("cnti.service.dispatch_ns");
+};
+
+const ServiceObs& service_obs() {
+  static const ServiceObs handles;
+  return handles;
+}
+
+/// Sends the full buffer (looping over partial writes) and counts it as
+/// one write. MSG_NOSIGNAL: a client that hung up must surface as an
+/// error return, not SIGPIPE.
 bool send_all(int fd, std::string_view bytes) {
+  service_obs().writes.add();
   while (!bytes.empty()) {
     const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     if (n < 0) {
@@ -45,23 +65,6 @@ bool send_line(int fd, const std::string& body) {
 std::string error_line(const std::string& message) {
   return "{\"type\": \"error\", \"message\": \"" + json_escape(message) +
          "\"}";
-}
-
-/// Service-tier obs handles (`cnti.service.*`).
-struct ServiceObs {
-  obs::Counter connections = obs::counter("cnti.service.connections");
-  obs::Counter requests = obs::counter("cnti.service.requests");
-  obs::Counter errors = obs::counter("cnti.service.errors");
-  obs::Counter batches = obs::counter("cnti.service.batches");
-  obs::Counter scenarios = obs::counter("cnti.service.scenarios");
-  obs::Gauge queue_depth = obs::gauge("cnti.service.queue_depth");
-  obs::Histogram request_hist = obs::histogram("cnti.service.request_ns");
-  obs::Histogram dispatch_hist = obs::histogram("cnti.service.dispatch_ns");
-};
-
-const ServiceObs& service_obs() {
-  static const ServiceObs handles;
-  return handles;
 }
 
 /// Aggregate + per-stage disk-tier counters as a JSON object — the
@@ -288,19 +291,20 @@ void ScenarioServer::handle_request_line(int fd, const std::string& line) {
     }
     queue_cv_.notify_one();
 
+    // The whole reply goes out in one write: a write per line would let
+    // Nagle's algorithm hold each later line until the client's delayed
+    // ACK of the previous one (~40 ms per reply).
     const std::vector<scenario::ScenarioResult> results = fut.get();
+    std::ostringstream reply;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      std::ostringstream out;
-      out << "{\"type\": \"result\", \"index\": " << i
-          << ", \"result\": " << result_to_json(results[i]) << "}";
-      if (!send_line(fd, out.str())) return;
+      reply << "{\"type\": \"result\", \"index\": " << i
+            << ", \"result\": " << result_to_json(results[i]) << "}\n";
     }
-    std::ostringstream done;
-    done << "{\"type\": \"done\", \"count\": " << results.size()
-         << ", \"cache\": ";
-    scenario::write_cache_stats_json_object(done, engine_.cache(), "");
-    done << "}";
-    send_line(fd, done.str());
+    reply << "{\"type\": \"done\", \"count\": " << results.size()
+          << ", \"cache\": ";
+    scenario::write_cache_stats_json_object(reply, engine_.cache(), "");
+    reply << "}\n";
+    send_all(fd, reply.str());
   } catch (const std::exception& e) {
     service_obs().errors.add();
     send_line(fd, error_line(e.what()));

@@ -18,6 +18,7 @@
 #include "core/mwcnt_line.hpp"
 #include "core/sweep_engine.hpp"
 #include "numerics/interp.hpp"
+#include "numerics/matrix.hpp"
 #include "numerics/solvers.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
@@ -517,6 +518,163 @@ TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
   }
   // And the sweep found a nonzero noise landscape.
   EXPECT_GT(*std::max_element(serial.begin(), serial.end()), 0.0);
+}
+
+// --- Propagator kernel vs the per-step LU algorithm ----------------------
+
+/// The trapezoidal algorithm simulate() replaced, kept as the differential
+/// oracle: DC start by an LU solve of Gr, then every step one matvec with
+/// 2C/dt - G and one LU solve of 2C/dt + G, over every input column.
+rom::ReducedModel::Transient per_step_lu_reference(
+    const rom::ReducedModel& rm, const std::vector<cir::Waveform>& waves,
+    double t_stop_s, double dt_s) {
+  using cnti::numerics::LuFactorization;
+  using cnti::numerics::MatrixD;
+  const auto input_at = [&](double t) {
+    std::vector<double> u(waves.size());
+    for (std::size_t k = 0; k < waves.size(); ++k) {
+      u[k] = cir::waveform_value(waves[k], t);
+    }
+    return u;
+  };
+  std::vector<double> u_prev = input_at(0.0);
+  std::vector<double> x =
+      LuFactorization<double>(rm.gr()).solve(rm.br() * u_prev);
+  MatrixD lhs = rm.cr();
+  lhs *= 2.0 / dt_s;
+  MatrixD rhs_mat = lhs;
+  lhs += rm.gr();
+  rhs_mat -= rm.gr();
+  const LuFactorization<double> step_lu(lhs);
+
+  const auto steps =
+      static_cast<std::size_t>(std::ceil(t_stop_s / dt_s - 1e-9)) + 1;
+  const auto p = static_cast<std::size_t>(rm.outputs());
+  rom::ReducedModel::Transient out;
+  out.time.resize(steps);
+  out.outputs.assign(p, std::vector<double>(steps, 0.0));
+  const MatrixD lt = rm.lr().transpose();
+  const auto record = [&](std::size_t step, double t) {
+    out.time[step] = t;
+    const std::vector<double> y = lt * x;
+    for (std::size_t j = 0; j < p; ++j) out.outputs[j][step] = y[j];
+  };
+  record(0, 0.0);
+  for (std::size_t step = 1; step < steps; ++step) {
+    const double t = static_cast<double>(step) * dt_s;
+    const std::vector<double> u = input_at(t);
+    std::vector<double> usum(u.size());
+    for (std::size_t k = 0; k < u.size(); ++k) usum[k] = u_prev[k] + u[k];
+    std::vector<double> rhs = rhs_mat * x;
+    const std::vector<double> bu = rm.br() * usum;
+    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += bu[i];
+    x = step_lu.solve(rhs);
+    u_prev = u;
+    record(step, t);
+  }
+  return out;
+}
+
+/// Every sample of every output within `rel` of the reference, relative to
+/// the transient's signal level (the largest |output| over all outputs and
+/// samples): rounding differences scale with the state, not with the
+/// smallest far-victim waveform.
+void expect_transients_match(const rom::ReducedModel::Transient& got,
+                               const rom::ReducedModel::Transient& ref,
+                               double rel) {
+  EXPECT_EQ(got.time, ref.time);
+  EXPECT_EQ(got.outputs.size(), ref.outputs.size());
+  double scale = 0.0;
+  for (const auto& out : ref.outputs) {
+    for (const double v : out) scale = std::max(scale, std::abs(v));
+  }
+  EXPECT_GT(scale, 0.0);
+  for (std::size_t j = 0; j < ref.outputs.size(); ++j) {
+    for (std::size_t i = 0; i < ref.outputs[j].size(); ++i) {
+      EXPECT_LE(std::abs(got.outputs[j][i] - ref.outputs[j][i]), rel * scale)
+          << "output " << j << ", sample " << i;
+    }
+  }
+}
+
+TEST(RomKernel, PropagatorMatchesPerStepLuOnRcLadder) {
+  // 30-stage RC ladder ROM driven from a nonzero initial level, so the DC
+  // start solve is exercised too.
+  cir::Circuit ckt;
+  const auto in = ckt.node("in");
+  ckt.add_vsource("vin", in, 0, cir::DcWave{0.0});
+  cir::NodeId prev = in;
+  for (int s = 0; s < 30; ++s) {
+    const std::string is = std::to_string(s);
+    const auto n = ckt.node("n" + is);
+    ckt.add_resistor("r" + is, prev, n, 150.0);
+    ckt.add_capacitor("c" + is, n, 0, 3e-15);
+    prev = n;
+  }
+  const auto rm = reduce_observing(ckt, prev, 10);
+  cir::PulseWave pulse = cir::bus_edge_wave(1.0, 20e-12);
+  pulse.v1 = 0.2;
+  const std::vector<cir::Waveform> waves = {pulse};
+  const auto got = rm.simulate(waves, 1e-9, 2e-12);
+  const auto ref = per_step_lu_reference(rm, waves, 1e-9, 2e-12);
+  EXPECT_GT(ref.outputs[0].front(), 0.1);  // the DC start ran
+  expect_transients_match(got, ref, 1e-11);
+}
+
+TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
+  // The terminated 16-line paper bus with every port of the model kept,
+  // a Norton edge on the centre head and 31 undriven ports; then the same
+  // with a quiet-high victim, a driven DC input that runs the DC start.
+  const rom::BusRom bus(paper_bus(16, 128));
+  rom::BusScenario sc;
+  sc.driver_ohm = 3e3;
+  sc.receiver_load_f = 0.5e-15;
+  std::vector<rom::PortTermination> loads;
+  for (int l = 0; l < 16; ++l) {
+    loads.push_back({l, l, 1.0 / sc.driver_ohm, 0.0});
+    loads.push_back({16 + l, 16 + l, 0.0, sc.receiver_load_f});
+  }
+  const rom::ReducedModel term = bus.model().terminated(loads);
+  std::vector<cir::Waveform> waves(32, cir::DcWave{0.0});
+  cir::PulseWave edge = cir::bus_edge_wave(sc.vdd_v, sc.edge_time_s);
+  edge.v2 /= sc.driver_ohm;
+  const int aggressor = 8;  // centre line of the default config
+  waves[aggressor] = edge;
+  const double t_stop = bus.window_s(sc);
+  const auto ref = per_step_lu_reference(term, waves, t_stop, t_stop / 600);
+  expect_transients_match(term.simulate(waves, t_stop, t_stop / 600), ref,
+                          1e-11);
+
+  // evaluate() simulates a model sliced to the aggressor input and the
+  // far-end outputs; its KPIs must match the same measurement on the
+  // full-port reference.
+  const auto got = bus.evaluate(sc, 600);
+  double peak = 0.0;
+  double peak_time = 0.0;
+  int victim = -1;
+  for (int l = 0; l < 16; ++l) {
+    if (l == aggressor) continue;
+    const auto& vn = ref.outputs[static_cast<std::size_t>(16 + l)];
+    for (std::size_t i = 0; i < vn.size(); ++i) {
+      if (std::abs(vn[i]) > std::abs(peak)) {
+        peak = vn[i];
+        peak_time = ref.time[i];
+        victim = l;
+      }
+    }
+  }
+  const double delay = cnti::numerics::first_crossing_time(
+      ref.time, ref.outputs[16 + aggressor], sc.vdd_v / 2.0,
+      /*rising=*/true);
+  EXPECT_EQ(got.worst_victim, victim);
+  EXPECT_EQ(got.peak_time_s, peak_time);
+  EXPECT_NEAR(got.peak_noise_v, peak, 1e-11 * std::abs(peak));
+  EXPECT_NEAR(got.aggressor_delay_s, delay, 1e-11 * delay);
+
+  waves[3] = cir::DcWave{sc.vdd_v / sc.driver_ohm};
+  expect_transients_match(
+      term.simulate(waves, t_stop, t_stop / 600),
+      per_step_lu_reference(term, waves, t_stop, t_stop / 600), 1e-11);
 }
 
 // --- ROM as a preconditioner for full-system Krylov solves ---------------

@@ -23,6 +23,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/json_sink.hpp"
+#include "obs/obs.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/stage_codecs.hpp"
 #include "service/client.hpp"
@@ -804,6 +805,24 @@ TEST(ScenarioService, MetricsVerbReturnsALiveRegistrySnapshot) {
   const auto& req = snap.histograms.at("cnti.service.request_ns");
   EXPECT_GE(req.count, 1u);
   EXPECT_GT(req.sum_ns, 0u);
+  server.stop();
+}
+
+TEST(ScenarioService, RunReplyIsOneSocketWrite) {
+  // Every result line and the done line leave in a single write: one
+  // write per line let Nagle's algorithm and the client's delayed ACK hold
+  // each reply ~40 ms. The write count is deterministic, unlike latency.
+  sv::ScenarioServer server(sv::ServerOptions{});
+  server.start();
+  sv::ScenarioClient client(server.port());
+  const auto writes = [] {
+    return cnti::obs::metrics_snapshot().counters.at("cnti.service.writes");
+  };
+  (void)client.run(full_batch(1));  // registers the counter
+  const std::uint64_t before = writes();
+  const auto results = client.run(full_batch(8));
+  EXPECT_EQ(results.size(), 8u);
+  EXPECT_EQ(writes() - before, 1u);
   server.stop();
 }
 
