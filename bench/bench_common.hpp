@@ -30,8 +30,23 @@ using JsonResults = ::cnti::JsonMetricSink;
 /// Shorthand for the per-binary metric sink.
 inline JsonResults& json() { return JsonResults::instance(); }
 
+/// Acceptance failures the reproduction recorded through check().
+inline int& failures() {
+  static int count = 0;
+  return count;
+}
+
+/// Records an acceptance line: prints FAIL and counts it when `ok` is
+/// false, so the binary exits non-zero instead of only printing it.
+inline void check(bool ok, const std::string& what) {
+  if (ok) return;
+  std::cout << "FAIL: " << what << "\n";
+  ++failures();
+}
+
 /// Standard main body: reproduction output, optional JSON metric dump,
-/// then benchmark kernels.
+/// then benchmark kernels. A reproduction that recorded a failed check()
+/// exits 1 after the JSON dump, without running the kernels.
 #define CNTI_BENCH_MAIN(print_reproduction)                        \
   int main(int argc, char** argv) {                                \
     print_reproduction();                                          \
@@ -39,6 +54,7 @@ inline JsonResults& json() { return JsonResults::instance(); }
     if (!cnti_json_path.empty()) {                                 \
       std::cout << "\n[json results: " << cnti_json_path << "]\n"; \
     }                                                              \
+    if (::cnti::bench::failures() > 0) return 1;                   \
     ::benchmark::Initialize(&argc, argv);                          \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {    \
       return 1;                                                    \

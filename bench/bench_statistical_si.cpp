@@ -1,13 +1,16 @@
 // Statistical SI sign-off at scale: a >= 10^5-sample varied-technology
-// Monte Carlo over a coupled CNT bus, evaluated at ROM cost on one
+// Monte Carlo over a coupled CNT bus, evaluated at ROM cost on one driven
 // corner-anchored parametrized reduction (rom/parametrized_rom.hpp) and
 // reduced through the sharded deterministic-MC layer
 // (scenario/statistical.hpp). Reports:
-//   * parametrized-ROM accuracy vs full sparse MNA at interior technology
-//     points (the <= 1% acceptance bound);
+//   * the driven ROM's order and build time, and its accuracy vs full
+//     sparse MNA at interior technology points (the <= 1% acceptance
+//     bound);
 //   * study throughput (samples/s) and the merged noise/delay statistics;
 //   * shard-count invariance: the same study recomputed as 2 and 8 shard
 //     ranges merges to byte-identical reports.
+// A probe above 1% or a shard merge that is not byte-identical makes the
+// binary exit non-zero.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -62,47 +65,38 @@ void print_reproduction() {
   const scenario::Scenario s = study_scenario(kSamples);
   const scenario::ScenarioEngine engine;
 
-  // --- Parametrized ROM vs full sparse MNA at interior points. ---
+  // --- The driven parametrized ROM the engine caches: its warm-up build
+  // (line stage + reduction), then that same reduction vs full sparse MNA
+  // at interior points. ---
   {
     const auto t0 = std::chrono::steady_clock::now();
-    const scenario::StatisticalShard warmup = engine.run_statistical(s, 0, 0);
-    (void)warmup;  // builds + caches the parametrized ROM
+    const auto prom = engine.statistical_rom(s);
     const double build_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    bench::json().set("prom_build_s", build_s);
-    std::cout << "parametrized ROM build (8 corner anchors): "
-              << Table::num(build_s * 1e3, 4) << " ms\n";
-  }
-
-  // The accuracy probe works on the raw ROM (same class the engine
-  // caches), anchored on the same spans as the study.
-  {
-    const core::MultiscaleInput in = scenario::to_multiscale_input(s);
-    const core::ChannelStage channels =
-        core::doping_channel_stage(s.tech.dopant, s.tech.dopant_concentration);
-    const core::MwcntLine line(core::multiscale_line_spec(
-        in, channels, core::environment_capacitance(s.tech.environment)));
-    const circuit::BusTopology topology = scenario::to_bus_topology(s, line);
     const circuit::BusDrive drive = scenario::to_bus_drive(s);
-    const rom::ParametrizedBusRom prom(
-        topology, scenario::tech_box(s.variability), drive.aggressor);
     rom::BusScenario rsc;
     rsc.driver_ohm = drive.driver_ohm;
     rsc.receiver_load_f = drive.receiver_load_f;
     rsc.vdd_v = drive.vdd_v;
     rsc.edge_time_s = drive.edge_time_s;
     const rom::ParamRomValidation v =
-        prom.validate_against_mna(rsc, 5, s.analysis.time_steps);
-    std::cout << "ROM order " << prom.order() << " vs full order "
-              << prom.full_order() << "; " << v.probes
-              << " interior probes vs sparse MNA: max noise err "
+        prom->validate_against_mna(rsc, 5, s.analysis.time_steps);
+    std::cout << "driven parametrized ROM (" << prom->corners()
+              << " corner anchors): order " << prom->order()
+              << " vs full order " << prom->full_order()
+              << ", engine warm-up " << Table::num(build_s * 1e3, 4)
+              << " ms\n"
+              << v.probes << " interior probes vs sparse MNA: max noise err "
               << Table::num(v.max_noise_rel_err * 1e2, 3) << "%, max delay err "
               << Table::num(v.max_delay_rel_err * 1e2, 3) << "%\n\n";
-    bench::json().set("prom_order", prom.order());
-    bench::json().set("prom_full_order", prom.full_order());
+    bench::json().set("prom_build_s", build_s);
+    bench::json().set("prom_order", prom->order());
+    bench::json().set("prom_full_order", prom->full_order());
     bench::json().set("prom_max_noise_rel_err", v.max_noise_rel_err);
     bench::json().set("prom_max_delay_rel_err", v.max_delay_rel_err);
+    bench::check(v.max_noise_rel_err <= 0.01 && v.max_delay_rel_err <= 0.01,
+                 "interior probe error above 1 %");
   }
 
   // --- The full study, single range. ---
@@ -143,6 +137,8 @@ void print_reproduction() {
         study_bytes(scenario::reduce_shards(std::move(shards))) == reference;
     std::cout << count << "-shard merge byte-identical to single range: "
               << (same ? "yes" : "NO") << "\n";
+    bench::check(same, std::to_string(count) +
+                           "-shard merge differs from the single range");
     invariant = invariant && same;
   }
   bench::json().set("shard_invariant", invariant ? 1.0 : 0.0);

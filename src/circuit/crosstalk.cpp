@@ -276,6 +276,7 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
                    built.lines == topology.lines &&
                    built.segments == topology.segments,
                "bare bus netlist was built from a different topology");
+  CNTI_EXPECTS(drive.receiver_load_f >= 0, "receiver load must be >= 0");
   Circuit& ckt = bus.ckt;
 
   // Aggressor stimulus behind its driver; victims held quiet; receiver
@@ -286,9 +287,11 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
   for (int l = 0; l < topology.lines; ++l) {
     ckt.add_resistor("rdrv" + std::to_string(l), l == agg ? agg_in : 0,
                      bus.head[static_cast<std::size_t>(l)], drive.driver_ohm);
-    ckt.add_capacitor("cl" + std::to_string(l),
-                      bus.far[static_cast<std::size_t>(l)], 0,
-                      drive.receiver_load_f);
+    if (drive.receiver_load_f > 0) {  // a zero load stamps nothing
+      ckt.add_capacitor("cl" + std::to_string(l),
+                        bus.far[static_cast<std::size_t>(l)], 0,
+                        drive.receiver_load_f);
+    }
   }
   const std::vector<NodeId>& far = bus.far;
 

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "numerics/matrix.hpp"
 #include "rom/reduced_model.hpp"
+#include "rom/state_space.hpp"
 
 namespace cnti::rom::detail {
 
@@ -62,6 +63,20 @@ inline void axpy_rows(const double* a, const double* rows, std::size_t stride,
   }
   for (; k < count; ++k) axpy(a[k], rows + k * stride, y, n);
 }
+
+/// Congruence projection of a descriptor system onto an orthonormal basis
+/// V (q columns of length n): V^T G V, V^T C V, V^T B, V^T L.
+struct Projection {
+  numerics::MatrixD g, c, b, l;
+};
+
+/// Blocked form of the projection: W = G V is built a block of rows at a
+/// time, V^T W accumulates as row axpys over the rows of each block, and
+/// B/L are summed over their nonzeros only. Every entry adds the same
+/// products in the same order as the column-by-column matvec + dot it
+/// replaced, so the result is bitwise equal to it.
+Projection project(const StateSpace& ss,
+                   const std::vector<std::vector<double>>& basis);
 
 /// Folds shunt port terminations into g and c (q x q) as the rank-1
 /// congruence updates g += gs b l^T, c += cs b l^T of ReducedModel::

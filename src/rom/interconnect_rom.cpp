@@ -73,22 +73,14 @@ BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology) {
   return out;
 }
 
-BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
-                                        int aggressor,
-                                        const BusScenario& sc,
-                                        double t_stop_s, int time_steps) {
+ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
+                                int aggressor, const BusScenario& sc) {
   CNTI_EXPECTS(sc.driver_ohm > 0, "BusRom: driver resistance must be > 0");
   CNTI_EXPECTS(sc.receiver_load_f >= 0, "BusRom: load must be >= 0");
-  CNTI_EXPECTS(time_steps >= 2, "BusRom: need at least two time steps");
   CNTI_EXPECTS(aggressor >= 0 && aggressor < lines,
                "BusRom: aggressor index out of range");
   CNTI_EXPECTS(bare.inputs() >= 2 * lines && bare.outputs() >= 2 * lines,
                "BusRom: bare model is missing head/far ports");
-  static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
-  static const obs::Histogram eval_hist =
-      obs::histogram("cnti.rom.evaluate_ns");
-  evaluations.add();
-  const obs::ObsSpan eval_span("rom.evaluate", "rom", eval_hist);
   const int nl = lines;
 
   // Terminations: every head sees its driver's output conductance (the
@@ -108,7 +100,7 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
   detail::fold_terminations(g, c, bare.br(), bare.lr(), loads);
 
   // Only the aggressor head is driven and only the far ends are read, so
-  // the simulated model keeps just that input column and those outputs.
+  // the driven model keeps just that input column and those outputs.
   const std::size_t q = g.rows();
   numerics::MatrixD b(q, 1);
   numerics::MatrixD l_far(q, static_cast<std::size_t>(nl));
@@ -119,21 +111,37 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
           bare.lr()(i, static_cast<std::size_t>(nl + l));
     }
   }
-  const ReducedModel sliced(
+  return ReducedModel(
       std::move(g), std::move(c), std::move(b), std::move(l_far),
       {bare.input_names()[static_cast<std::size_t>(aggressor)]},
       std::vector<std::string>(bare.output_names().begin() + nl,
                                bare.output_names().begin() + 2 * nl),
       bare.full_order());
+}
+
+BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
+                                       int aggressor, const BusScenario& sc,
+                                       double t_stop_s, int time_steps) {
+  CNTI_EXPECTS(time_steps >= 2, "BusRom: need at least two time steps");
+  const int nl = driven.outputs();
+  CNTI_EXPECTS(aggressor >= 0 && aggressor < nl,
+               "BusRom: aggressor index out of range");
+  CNTI_EXPECTS(driven.inputs() == 1,
+               "BusRom: driven model needs exactly the aggressor input");
+  static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
+  static const obs::Histogram eval_hist =
+      obs::histogram("cnti.rom.evaluate_ns");
+  evaluations.add();
+  const obs::ObsSpan eval_span("rom.evaluate", "rom", eval_hist);
 
   // Norton drive: i(t) = v_edge(t) / R_driver into the aggressor head.
   circuit::PulseWave edge = circuit::bus_edge_wave(sc.vdd_v, sc.edge_time_s);
   edge.v2 /= sc.driver_ohm;
   const ReducedModel::Transient tr =
-      sliced.simulate({edge}, t_stop_s, t_stop_s / time_steps);
+      driven.simulate({edge}, t_stop_s, t_stop_s / time_steps);
 
   BusCrosstalkResult out;
-  out.unknowns = bare.order();
+  out.unknowns = driven.order();
   out.worst_victim = aggressor == 0 ? 1 : 0;
   for (int l = 0; l < nl; ++l) {
     if (l == aggressor) continue;
@@ -241,8 +249,9 @@ double BusRom::window_s(const BusScenario& sc) const {
 
 BusCrosstalkResult BusRom::evaluate(const BusScenario& sc,
                                     int time_steps) const {
-  return evaluate_reduced_bus(rom_, config_.lines, aggressor_, sc,
-                              window_s(sc), time_steps);
+  return evaluate_driven_bus(
+      terminate_bare_bus(rom_, config_.lines, aggressor_, sc), aggressor_, sc,
+      window_s(sc), time_steps);
 }
 
 }  // namespace cnti::rom

@@ -43,19 +43,29 @@ struct BusStateSpace {
 /// descriptor system (see BusStateSpace for the port convention).
 BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology);
 
-/// Runs one driver/load/stimulus scenario on a *bare* reduced bus model
-/// (ports as in BusStateSpace): folds the scenario terminations into the
-/// reduced matrices, replaces the aggressor's Thevenin driver by its
-/// Norton equivalent at the head port, simulates [0, t_stop_s] on
-/// `time_steps` trapezoidal steps and measures worst victim noise and
-/// the aggressor 50% delay (quiet NaN if never crossed). Shared by
-/// BusRom::evaluate and ParametrizedBusRom::evaluate so both stay
-/// field-for-field comparable with analyze_bus_crosstalk.
-circuit::BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare,
-                                                 int lines, int aggressor,
-                                                 const BusScenario& scenario,
-                                                 double t_stop_s,
-                                                 int time_steps);
+/// Folds one scenario's terminations into a *bare* reduced bus model
+/// (ports as in BusStateSpace): every head gets its driver conductance,
+/// every far end its receiver load, and the model is sliced to the
+/// aggressor-head input and the far-end outputs — the driven shape
+/// evaluate_driven_bus simulates. Used by the bare ROMs only.
+ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
+                                int aggressor, const BusScenario& scenario);
+
+/// Runs the crosstalk transient on a *driven* reduced bus: terminations
+/// already in Gr/Cr, one input (current into the aggressor head) and one
+/// output per far end. The aggressor's Thevenin driver enters as its
+/// Norton equivalent, [0, t_stop_s] is simulated on `time_steps`
+/// trapezoidal steps, and the worst victim noise and the aggressor 50%
+/// delay (quiet NaN if never crossed) are measured. The one KPI path of
+/// BusRom and both ParametrizedBusRom kinds, field-for-field comparable
+/// with analyze_bus_crosstalk. The scenario's driver resistance is taken
+/// as already checked > 0 (by terminate_bare_bus, or by the driven ROM's
+/// driver resistors).
+circuit::BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
+                                                int aggressor,
+                                                const BusScenario& scenario,
+                                                double t_stop_s,
+                                                int time_steps);
 
 /// Full-order terminated bus system A x = b at one (real) frequency-like
 /// shift: A = G + Gdrv + s (C + Cload) over the bare-bus state vector,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,42 @@ double interior_fraction(int probe, int axis) {
   return 0.15 + 0.7 * (x - std::floor(x));
 }
 
+/// One corner of a driven ROM: the bus with `drive`'s terminations as
+/// circuit elements, the aggressor head as the one port and only the far
+/// ends in the output map.
+StateSpace driven_bus_state_space(const circuit::BusTopology& t,
+                                  const circuit::BusDrive& drive,
+                                  int aggressor) {
+  CNTI_EXPECTS(drive.receiver_load_f >= 0,
+               "ParametrizedBusRom: load must be >= 0");
+  circuit::BusNetlist bus = circuit::build_bus_netlist(t);
+  for (int l = 0; l < t.lines; ++l) {
+    const std::size_t ul = static_cast<std::size_t>(l);
+    bus.ckt.add_resistor("rdrv" + std::to_string(l), bus.head[ul], 0,
+                         drive.driver_ohm);
+    if (drive.receiver_load_f > 0) {  // a zero load stamps nothing
+      bus.ckt.add_capacitor("cl" + std::to_string(l), bus.far[ul], 0,
+                            drive.receiver_load_f);
+    }
+  }
+  StateSpaceOptions opt;
+  opt.include_sources = false;  // the bus has none
+  opt.ports.push_back({"head" + std::to_string(aggressor),
+                       bus.head[static_cast<std::size_t>(aggressor)]});
+  opt.observe = bus.far;
+  StateSpace ss = extract_state_space(bus.ckt, opt);
+
+  // Output 0 is the port's own voltage sense, which no KPI reads.
+  const std::size_t far_outputs = bus.far.size();
+  MatrixD l_far(ss.l.rows(), far_outputs);
+  for (std::size_t r = 0; r < ss.l.rows(); ++r) {
+    for (std::size_t j = 0; j < far_outputs; ++j) l_far(r, j) = ss.l(r, j + 1);
+  }
+  ss.l = std::move(l_far);
+  ss.output_names.erase(ss.output_names.begin());
+  return ss;
+}
+
 }  // namespace
 
 ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
@@ -64,6 +101,20 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
     : topology_(nominal),
       box_(box),
       aggressor_(aggressor < 0 ? nominal.lines / 2 : aggressor) {
+  build(corner_options);
+}
+
+ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
+                                       const BusTechBox& box,
+                                       const circuit::BusDrive& drive)
+    : topology_(nominal),
+      box_(box),
+      aggressor_(drive.aggressor < 0 ? nominal.lines / 2 : drive.aggressor),
+      drive_(drive) {
+  build(PrimaOptions{.order = 0});
+}
+
+void ParametrizedBusRom::build(PrimaOptions corner_options) {
   CNTI_EXPECTS(aggressor_ >= 0 && aggressor_ < topology_.lines,
                "ParametrizedBusRom: aggressor index out of range");
   const obs::ObsSpan build_span("prom.build", "rom");
@@ -74,17 +125,19 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
   }
 
   // Every corner reduction shares the nominal topology's expansion point
-  // (the same settle-time corner the topology-keyed BusRom picks), so the
-  // corner Krylov spaces approximate the same frequency band and their
-  // union stays a meaningful shared basis.
+  // (the same settle-time corner the topology-keyed BusRom picks; a driven
+  // ROM uses its own drive's settle time), so the corner Krylov spaces
+  // approximate the same frequency band and their union stays a
+  // meaningful shared basis.
   circuit::BusDrive nominal_drive;
   nominal_drive.aggressor = aggressor_;
   const double nominal_s0 =
-      20.0 / circuit::bus_settle_time_s(topology_, nominal_drive);
+      20.0 / circuit::bus_settle_time_s(topology_,
+                                        drive_.value_or(nominal_drive));
 
   // Corner enumeration: resistance axis fastest, lexicographic, collapsed
   // axes contributing a single value — a degenerate box has one corner and
-  // the model coincides with an ordinary BusRom of the nominal topology.
+  // a bare model coincides with an ordinary BusRom of the nominal topology.
   const auto axis_values = [](const Axis& a) {
     return a.lo == a.hi ? std::vector<double>{a.lo}
                         : std::vector<double>{a.lo, a.hi};
@@ -102,18 +155,22 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
   corner_ss.reserve(corner_points_.size());
   corner_bases.reserve(corner_points_.size());
   for (const BusTechPoint& cp : corner_points_) {
-    BusStateSpace bss = extract_bus_state_space(topology_at(cp));
+    StateSpace ss =
+        drive_ ? driven_bus_state_space(topology_at(cp), *drive_, aggressor_)
+               : extract_bus_state_space(topology_at(cp)).ss;
     PrimaOptions opt = corner_options;
     if (opt.order <= 0) {
-      opt.order = std::min(6 * topology_.lines, bss.ss.size / 2);
+      // A driven corner has one input, so its Krylov space grows one
+      // vector per moment instead of one block of 2 * lines.
+      opt.order = std::min(drive_ ? 8 : 6 * topology_.lines, ss.size / 2);
     }
     if (opt.expansion_rad_per_s <= 0.0) {
       opt.expansion_rad_per_s = nominal_s0;
     }
     opt.keep_basis = true;
-    ReducedModel rm = prima_reduce(bss.ss, opt);
+    ReducedModel rm = prima_reduce(ss, opt);
     corner_bases.push_back(rm.basis());
-    corner_ss.push_back(std::move(bss.ss));
+    corner_ss.push_back(std::move(ss));
   }
   const StateSpace& ss0 = corner_ss.front();
   full_order_ = ss0.size;
@@ -149,41 +206,21 @@ ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
     }
   }
   basis_size_ = basis.size();
-  const std::size_t q = basis_size_;
 
   // Re-project every corner's full-order G/C through the common basis
-  // (same arithmetic as prima_reduce's congruence projection). B and L are
-  // port incidence columns — independent of element values — so one
-  // projection from corner 0 serves every corner.
+  // (prima_reduce's congruence projection). B and L are port maps —
+  // independent of element values — so corner 0's projection serves every
+  // corner.
   const obs::ObsSpan project_span("prom.project", "rom");
   corner_gr_.reserve(corner_points_.size());
   corner_cr_.reserve(corner_points_.size());
-  std::vector<double> gv(n), cv(n);
-  for (const StateSpace& ss : corner_ss) {
-    MatrixD gr(q, q), cr(q, q);
-    for (std::size_t j = 0; j < q; ++j) {
-      ss.g.multiply(basis[j], gv);
-      ss.c.multiply(basis[j], cv);
-      for (std::size_t i = 0; i < q; ++i) {
-        gr(i, j) = dot(basis[i], gv);
-        cr(i, j) = dot(basis[i], cv);
-      }
-    }
-    corner_gr_.push_back(std::move(gr));
-    corner_cr_.push_back(std::move(cr));
-  }
-  br_ = MatrixD(q, ss0.b.cols());
-  lr_ = MatrixD(q, ss0.l.cols());
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = 0; j < ss0.b.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < n; ++r) s += basis[i][r] * ss0.b(r, j);
-      br_(i, j) = s;
-    }
-    for (std::size_t j = 0; j < ss0.l.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < n; ++r) s += basis[i][r] * ss0.l(r, j);
-      lr_(i, j) = s;
+  for (std::size_t k = 0; k < corner_ss.size(); ++k) {
+    detail::Projection pr = detail::project(corner_ss[k], basis);
+    corner_gr_.push_back(std::move(pr.g));
+    corner_cr_.push_back(std::move(pr.c));
+    if (k == 0) {
+      br_ = std::move(pr.b);
+      lr_ = std::move(pr.l);
     }
   }
 }
@@ -243,8 +280,17 @@ double ParametrizedBusRom::window_s(const BusTechPoint& p,
 
 circuit::BusCrosstalkResult ParametrizedBusRom::evaluate(
     const BusTechPoint& p, const BusScenario& sc, int time_steps) const {
-  return evaluate_reduced_bus(model_at(p), topology_.lines, aggressor_, sc,
-                              window_s(p, sc), time_steps);
+  if (!drive_) {
+    return evaluate_driven_bus(
+        terminate_bare_bus(model_at(p), topology_.lines, aggressor_, sc),
+        aggressor_, sc, window_s(p, sc), time_steps);
+  }
+  CNTI_EXPECTS(sc.driver_ohm == drive_->driver_ohm &&
+                   sc.receiver_load_f == drive_->receiver_load_f,
+               "ParametrizedBusRom: scenario driver/load differ from the "
+               "reduced drive");
+  return evaluate_driven_bus(model_at(p), aggressor_, sc, window_s(p, sc),
+                             time_steps);
 }
 
 ParamRomValidation ParametrizedBusRom::validate_against_mna(

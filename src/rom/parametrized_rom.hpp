@@ -17,9 +17,17 @@
 // interior points — which validate_against_mna bounds against the full
 // sparse-MNA transient at sampled non-anchor points.
 //
+// A study whose drive is fixed reduces the *driven* bus instead (the
+// BusDrive constructor): the terminations are stamped into every corner
+// before PRIMA and each corner is a one-input system, so the merged order
+// drops from a block of 2 * lines ports per moment to a few vectors per
+// corner.
+//
 // evaluate() is const and thread-safe: reduce once per (topology, box,
-// aggressor), then sample technologies in parallel at ROM cost.
+// aggressor[, drive]), then sample technologies in parallel at ROM cost.
 #pragma once
+
+#include <optional>
 
 #include "circuit/crosstalk.hpp"
 #include "rom/interconnect_rom.hpp"
@@ -63,6 +71,18 @@ class ParametrizedBusRom {
                      const BusTechBox& box, int aggressor = -1,
                      PrimaOptions corner_options = {.order = 0});
 
+  /// Driven reduction for a study whose drive is fixed: every corner's bus
+  /// carries `drive`'s terminations as circuit elements (a driver resistor
+  /// from every head to ground, a receiver load at every far end) and is
+  /// reduced as a one-input system — current into the aggressor head,
+  /// observing the far ends. The terminations do not depend on the
+  /// technology point, so the blend stays exact. Each corner gets 8
+  /// Krylov vectors, expanded at 20 / bus_settle_time_s under `drive`.
+  /// evaluate() then accepts only scenarios with the reduced driver and
+  /// load.
+  ParametrizedBusRom(const circuit::BusTopology& nominal,
+                     const BusTechBox& box, const circuit::BusDrive& drive);
+
   int lines() const { return topology_.lines; }
   int full_order() const { return full_order_; }
   /// Merged-basis size: every blended model is order() x order().
@@ -76,8 +96,11 @@ class ParametrizedBusRom {
   /// sparse-MNA analysis would simulate).
   circuit::BusTopology topology_at(const BusTechPoint& point) const;
 
-  /// Blended bare-bus reduced model at `point` (must lie inside the box):
-  /// exactly V^T G(p) V / V^T C(p) V, see the header comment.
+  /// Blended reduced model at `point` (must lie inside the box): exactly
+  /// V^T G(p) V / V^T C(p) V, see the header comment. A bare ROM's model
+  /// has head/far ports (BusStateSpace); a driven ROM's has the drive's
+  /// terminations folded in, the aggressor-head input and the far-end
+  /// outputs — the shape terminate_bare_bus gives a bare one.
   ReducedModel model_at(const BusTechPoint& point) const;
 
   /// Transient window for a scenario at a technology point — the same
@@ -87,6 +110,8 @@ class ParametrizedBusRom {
 
   /// Runs the scenario transient on the blended model; field-for-field
   /// comparable with analyze_bus_crosstalk(topology_at(point), drive).
+  /// A driven ROM throws PreconditionError when the scenario's driver
+  /// resistance or receiver load differs from the reduced drive.
   circuit::BusCrosstalkResult evaluate(const BusTechPoint& point,
                                        const BusScenario& scenario,
                                        int time_steps = 1500) const;
@@ -101,15 +126,19 @@ class ParametrizedBusRom {
                                           int time_steps = 1500) const;
 
  private:
+  /// Reduces every corner and merges/projects (both constructors).
+  void build(PrimaOptions corner_options);
+
   circuit::BusTopology topology_;  ///< Anchor (scale = 1) topology.
   BusTechBox box_;
   int aggressor_ = 0;
+  std::optional<circuit::BusDrive> drive_;  ///< Set for a driven ROM.
   int full_order_ = 0;
   std::size_t basis_size_ = 0;
   std::vector<BusTechPoint> corner_points_;
   /// Per-corner projected matrices through the shared merged basis.
   std::vector<numerics::MatrixD> corner_gr_, corner_cr_;
-  numerics::MatrixD br_, lr_;  ///< Port incidence: identical at every corner.
+  numerics::MatrixD br_, lr_;  ///< Port maps: identical at every corner.
   std::vector<std::string> input_names_, output_names_;
 };
 

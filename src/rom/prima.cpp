@@ -1,5 +1,6 @@
 #include "rom/prima.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -43,6 +44,57 @@ SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
 }
 
 }  // namespace
+
+detail::Projection detail::project(
+    const StateSpace& ss, const std::vector<std::vector<double>>& basis) {
+  const std::size_t n = static_cast<std::size_t>(ss.size);
+  const std::size_t q = basis.size();
+  // W = A V is built a block of rows at a time: row r of W sums
+  // a_rk * V(k, :) over row r's nonzeros in the order the matvec A v
+  // visits them, and the block's rows are then added into V^T W as row
+  // axpys. Row order is kept across blocks, so per entry the sum is the
+  // same as dot(basis[i], A basis[j]) while W never exceeds one block.
+  constexpr std::size_t kBlock = 64;
+  std::vector<double> w(kBlock * q);
+  const auto project_pencil = [&](const SparseMatrix& a) {
+    MatrixD ar(q, q);
+    for (std::size_t r0 = 0; r0 < n; r0 += kBlock) {
+      const std::size_t rows = std::min(kBlock, n - r0);
+      std::fill(w.begin(), w.end(), 0.0);
+      for (std::size_t r = r0; r < r0 + rows; ++r) {
+        double* wr = &w[(r - r0) * q];
+        for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
+          const double v = a.values()[t];
+          const std::size_t k = a.col_indices()[t];
+          for (std::size_t j = 0; j < q; ++j) wr[j] += v * basis[j][k];
+        }
+      }
+      for (std::size_t i = 0; i < q; ++i) {
+        detail::axpy_rows(&basis[i][r0], w.data(), q, rows, &ar(i, 0), q);
+      }
+    }
+    return ar;
+  };
+  // Port maps are sparse incidence columns: sum over their nonzeros only.
+  const auto project_ports = [&](const MatrixD& m) {
+    MatrixD mr(q, m.cols());
+    std::vector<std::size_t> nz;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      nz.clear();
+      for (std::size_t r = 0; r < n; ++r) {
+        if (m(r, j) != 0.0) nz.push_back(r);
+      }
+      for (std::size_t i = 0; i < q; ++i) {
+        double s = 0.0;
+        for (const std::size_t r : nz) s += basis[i][r] * m(r, j);
+        mr(i, j) = s;
+      }
+    }
+    return mr;
+  };
+  return {project_pencil(ss.g), project_pencil(ss.c), project_ports(ss.b),
+          project_ports(ss.l)};
+}
 
 ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   CNTI_EXPECTS(options.order >= 1, "prima: order must be >= 1");
@@ -124,33 +176,10 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   }
 
   // Congruence projection onto the span of the basis.
-  const std::size_t q = basis.size();
-  basis_gauge.set(static_cast<double>(q));
-  MatrixD gr(q, q), cr(q, q);
-  std::vector<double> gv(n);
-  for (std::size_t j = 0; j < q; ++j) {
-    ss.g.multiply(basis[j], gv);
-    ss.c.multiply(basis[j], cv);
-    for (std::size_t i = 0; i < q; ++i) {
-      gr(i, j) = dot(basis[i], gv);
-      cr(i, j) = dot(basis[i], cv);
-    }
-  }
-  MatrixD br(q, ss.b.cols()), lr(q, ss.l.cols());
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = 0; j < ss.b.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < n; ++r) s += basis[i][r] * ss.b(r, j);
-      br(i, j) = s;
-    }
-    for (std::size_t j = 0; j < ss.l.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < n; ++r) s += basis[i][r] * ss.l(r, j);
-      lr(i, j) = s;
-    }
-  }
-  ReducedModel rm(std::move(gr), std::move(cr), std::move(br),
-                  std::move(lr), ss.input_names, ss.output_names, ss.size);
+  basis_gauge.set(static_cast<double>(basis.size()));
+  detail::Projection pr = detail::project(ss, basis);
+  ReducedModel rm(std::move(pr.g), std::move(pr.c), std::move(pr.b),
+                  std::move(pr.l), ss.input_names, ss.output_names, ss.size);
   if (options.keep_basis) rm.set_basis(std::move(basis));
   return rm;
 }

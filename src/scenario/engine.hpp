@@ -27,6 +27,10 @@
 #include "scenario/spec.hpp"
 #include "scenario/stages.hpp"
 
+namespace cnti::rom {
+class ParametrizedBusRom;  // rom/parametrized_rom.hpp
+}  // namespace cnti::rom
+
 namespace cnti::scenario {
 
 struct StatisticalShard;  // scenario/statistical.hpp
@@ -86,9 +90,9 @@ class ScenarioEngine {
       const std::vector<Scenario>& batch) const;
 
   /// Runs the scenario's deterministic Monte Carlo (variability.samples
-  /// technology draws, evaluated at ROM cost on a cached corner-anchored
-  /// ParametrizedBusRom) for the global sample range [begin, end) — one
-  /// shard of a possibly multi-process study. Requires analysis.noise and
+  /// technology draws, evaluated at ROM cost on statistical_rom) for the
+  /// global sample range [begin, end) — one shard of a possibly
+  /// multi-process study. Requires analysis.noise and
   /// variability.samples > 0; results are bit-identical at any thread
   /// count and shard partition (see scenario/statistical.hpp).
   StatisticalShard run_statistical(const Scenario& scenario,
@@ -97,6 +101,13 @@ class ScenarioEngine {
 
   /// The whole study in one process: run_statistical(s, 0, samples).
   StatisticalShard run_statistical(const Scenario& scenario) const;
+
+  /// The driven ParametrizedBusRom run_statistical evaluates the study's
+  /// samples on, reduced on first use and then served from the bus-prom
+  /// cache stage — so a caller can time and validate the very reduction
+  /// the study runs on.
+  std::shared_ptr<const rom::ParametrizedBusRom> statistical_rom(
+      const Scenario& scenario) const;
 
   const EngineOptions& options() const { return options_; }
   const MemoCache& cache() const { return cache_; }

@@ -279,6 +279,49 @@ void write_study_csv(std::ostream& out, const StatisticalStudy& study) {
   write_summary_csv_row(out, "aggressor_delay_s", study.delay_s);
 }
 
+std::shared_ptr<const rom::ParametrizedBusRom>
+ScenarioEngine::statistical_rom(const Scenario& s) const {
+  validate_spec(s.variability);
+  const core::MultiscaleInput in = to_multiscale_input(s);
+  core::validate_multiscale_input(in);
+  const LineStage front = line_stage(s, in);
+  const circuit::BusTopology topology = to_bus_topology(s, front.line);
+  const circuit::BusDrive drive = to_bus_drive(s);
+  const rom::BusTechBox box = tech_box(s.variability);
+
+  // One driven corner-anchored reduction per (topology, box, aggressor,
+  // driver, load), shared across every sample, shard and thread of the
+  // study: the study's drive is fixed, so its terminations are reduced
+  // with the bus (vdd and the edge only shape the input and stay out of
+  // the key). Memory-only, like the plain BusRom stage: the reduction
+  // nests inside the per-sample evaluations and is cheap relative to the
+  // study it unlocks.
+  // .v2: sparse-LU supernodal kernel era (see engine.cpp's .v4 bumps).
+  // .v3: driven reduction; the key carries the driver and the load.
+  KeyHasher prom_key("stage.bus-prom.v3");
+  prom_key.add(topology.line.series_resistance_ohm)
+      .add(topology.line.resistance_per_m)
+      .add(topology.line.capacitance_per_m)
+      .add(topology.line.inductance_per_m)
+      .add(topology.coupling_cap_per_m)
+      .add(topology.length_m)
+      .add(topology.lines)
+      .add(topology.segments)
+      .add(drive.aggressor)
+      .add(box.lo.resistance_scale)
+      .add(box.lo.capacitance_scale)
+      .add(box.lo.coupling_scale)
+      .add(box.hi.resistance_scale)
+      .add(box.hi.capacitance_scale)
+      .add(box.hi.coupling_scale)
+      .add(drive.driver_ohm)
+      .add(drive.receiver_load_f);
+  return cache_.get_or_compute<rom::ParametrizedBusRom>(
+      stage::kBusProm, prom_key.key(), [&] {
+        return std::make_shared<rom::ParametrizedBusRom>(topology, box, drive);
+      });
+}
+
 StatisticalShard ScenarioEngine::run_statistical(const Scenario& s) const {
   CNTI_EXPECTS(s.variability.samples > 0,
                "run_statistical: variability.samples must be > 0");
@@ -305,39 +348,8 @@ StatisticalShard ScenarioEngine::run_statistical(const Scenario& s,
   CNTI_EXPECTS(begin <= end && end <= total,
                "run_statistical: invalid sample range");
 
-  const core::MultiscaleInput in = to_multiscale_input(s);
-  core::validate_multiscale_input(in);
-  const LineStage front = line_stage(s, in);
-  const circuit::BusTopology topology = to_bus_topology(s, front.line);
+  const auto prom = statistical_rom(s);
   const circuit::BusDrive drive = to_bus_drive(s);
-  const rom::BusTechBox box = tech_box(var);
-
-  // One corner-anchored reduction per (topology, box, aggressor), shared
-  // across every sample, shard and thread of the study. Memory-only, like
-  // the plain BusRom stage: the reduction nests inside the per-sample
-  // evaluations and is cheap relative to the study it unlocks.
-  // .v2: sparse-LU supernodal kernel era (see engine.cpp's .v4 bumps).
-  KeyHasher prom_key("stage.bus-prom.v2");
-  prom_key.add(topology.line.series_resistance_ohm)
-      .add(topology.line.resistance_per_m)
-      .add(topology.line.capacitance_per_m)
-      .add(topology.line.inductance_per_m)
-      .add(topology.coupling_cap_per_m)
-      .add(topology.length_m)
-      .add(topology.lines)
-      .add(topology.segments)
-      .add(drive.aggressor)
-      .add(box.lo.resistance_scale)
-      .add(box.lo.capacitance_scale)
-      .add(box.lo.coupling_scale)
-      .add(box.hi.resistance_scale)
-      .add(box.hi.capacitance_scale)
-      .add(box.hi.coupling_scale);
-  const auto prom = cache_.get_or_compute<rom::ParametrizedBusRom>(
-      stage::kBusProm, prom_key.key(), [&] {
-        return std::make_shared<rom::ParametrizedBusRom>(topology, box,
-                                                         drive.aggressor);
-      });
 
   rom::BusScenario sc;
   sc.driver_ohm = drive.driver_ohm;

@@ -5,7 +5,7 @@
 //   * Sample i's technology point is a pure function of
 //     (variability.seed, i): Rng(seed).fork(i).fork(axis) — independent of
 //     shard boundaries, thread count and draw order.
-//   * Each sample is evaluated on the scenario's corner-anchored
+//   * Each sample is evaluated on the scenario's driven corner-anchored
 //     ParametrizedBusRom (ROM cost per sample; see rom/parametrized_rom.hpp)
 //     into per-sample KPI values carried verbatim in the shard report.
 //   * reduce_shards validates that the shards exactly partition

@@ -136,7 +136,7 @@ void ScenarioServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Listener closed by stop() (EBADF/EINVAL) — time to leave.
+      // Listener shut down by stop() (EINVAL) — time to leave.
       return;
     }
     service_obs().connections.add();
@@ -332,13 +332,15 @@ void ScenarioServer::stop() {
   queue_cv_.notify_all();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
 
-  // Close the listener so the accept loop unblocks and exits.
+  // Shut the listener down so the accept loop unblocks and exits; the
+  // descriptor is closed and reset only after the join, so accept_loop
+  // never reads listen_fd_ while it is being written.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // Half-close the connections (SHUT_RD): their readers see EOF and exit,
   // but any response still being streamed flushes unharmed.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <utility>
 
 #include "circuit/ac.hpp"
 #include "circuit/builders.hpp"
@@ -871,6 +872,88 @@ TEST(ParamRom, RejectsBadBoxesAndOutOfBoxPoints) {
   const rom::ParametrizedBusRom prom(cfg.topology(), box);
   EXPECT_THROW(prom.model_at({1.2, 1.0, 1.0}), cnti::PreconditionError);
   EXPECT_THROW(prom.evaluate({1.0, 0.5, 1.0}, rom::BusScenario{}, 100),
+               cnti::PreconditionError);
+}
+
+TEST(ParamRom, DrivenRomMatchesMnaOnThePaperBus) {
+  // A fixed-drive study reduces the terminated bus as a one-input system:
+  // on the 16 x 128 paper bus the merged order stays a small deterministic
+  // count, and interior probes track the full sparse-MNA transient to
+  // 0.1 % — for a weak driver with a light load and for a strong driver
+  // with a heavy one, each expanded at its own settle-time corner.
+  const cir::BusConfig cfg = paper_bus(16, 128);
+  rom::BusTechBox box;
+  box.lo = {0.85, 0.90, 0.80};
+  box.hi = {1.15, 1.10, 1.20};
+  for (const auto& [ohm, load_f] :
+       {std::pair{10e3, 0.1e-15}, std::pair{1e3, 1e-15}}) {
+    SCOPED_TRACE(ohm);
+    cir::BusDrive drive;
+    drive.driver_ohm = ohm;
+    drive.receiver_load_f = load_f;
+    const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+    EXPECT_EQ(prom.corners(), 8);
+    EXPECT_LE(prom.order(), 64);
+    const rom::ReducedModel m = prom.model_at(rom::BusTechPoint{});
+    EXPECT_EQ(m.inputs(), 1);
+    EXPECT_EQ(m.outputs(), 16);
+
+    rom::BusScenario sc;
+    sc.driver_ohm = drive.driver_ohm;
+    sc.receiver_load_f = drive.receiver_load_f;
+    const rom::ParamRomValidation v = prom.validate_against_mna(sc, 3, 200);
+    EXPECT_EQ(v.probes, 3);
+    EXPECT_LE(v.max_noise_rel_err, 1e-3);
+    EXPECT_LE(v.max_delay_rel_err, 1e-3);
+  }
+}
+
+TEST(ParamRom, DrivenRomAcceptsAZeroLoad) {
+  // A zero receiver load stamps no capacitor — neither in the driven
+  // corners nor in the full-MNA reference — as the bare ROM folds none.
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  rom::BusTechBox box;
+  box.lo = {0.9, 0.9, 0.9};
+  box.hi = {1.1, 1.1, 1.1};
+  cir::BusDrive drive;
+  drive.driver_ohm = 3e3;
+  drive.receiver_load_f = 0.0;
+  const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+  rom::BusScenario sc;
+  sc.driver_ohm = drive.driver_ohm;
+  sc.receiver_load_f = 0.0;
+  const rom::ParamRomValidation v = prom.validate_against_mna(sc, 2, 200);
+  EXPECT_EQ(v.probes, 2);
+  EXPECT_LE(v.max_noise_rel_err, 1e-3);
+  EXPECT_LE(v.max_delay_rel_err, 1e-3);
+
+  drive.receiver_load_f = -1e-15;
+  EXPECT_THROW(rom::ParametrizedBusRom(cfg.topology(), box, drive),
+               cnti::PreconditionError);
+}
+
+TEST(ParamRom, DrivenRomRejectsAMismatchedDrive) {
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  rom::BusTechBox box;
+  box.lo = {0.9, 0.9, 0.9};
+  box.hi = {1.1, 1.1, 1.1};
+  cir::BusDrive drive;
+  drive.driver_ohm = 3e3;
+  drive.receiver_load_f = 0.5e-15;
+  const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+
+  rom::BusScenario sc;
+  sc.driver_ohm = drive.driver_ohm;
+  sc.receiver_load_f = drive.receiver_load_f;
+  sc.vdd_v = 0.8;  // the stimulus is free: only the terminations are reduced
+  EXPECT_NO_THROW(prom.evaluate(rom::BusTechPoint{}, sc, 100));
+  rom::BusScenario other_driver = sc;
+  other_driver.driver_ohm = 5e3;
+  EXPECT_THROW(prom.evaluate(rom::BusTechPoint{}, other_driver, 100),
+               cnti::PreconditionError);
+  rom::BusScenario other_load = sc;
+  other_load.receiver_load_f = 0.2e-15;
+  EXPECT_THROW(prom.evaluate(rom::BusTechPoint{}, other_load, 100),
                cnti::PreconditionError);
 }
 

@@ -898,6 +898,42 @@ TEST(Statistical, ShardedRunsMergeBitIdenticalToTheFullRange) {
   EXPECT_EQ(study_bytes(sc::reduce_shards(std::move(shards))), reference);
 }
 
+TEST(Statistical, StudiesThatDifferOnlyInDriverKeepSeparateRoms) {
+  // The driven reduction folds the study's driver into the ROM, so two
+  // studies that differ only in driver resistance must not share a cached
+  // bus-prom entry: each, run on one engine, equals a fresh-engine run.
+  const sc::Scenario a = statistical_scenario(12);
+  sc::Scenario b = a;
+  b.workload.driver_resistance_kohm *= 3.0;
+  const sc::ScenarioEngine shared;
+  const auto shared_a = shared.run_statistical(a);
+  const auto shared_b = shared.run_statistical(b);
+  const auto fresh_a = sc::ScenarioEngine().run_statistical(a);
+  const auto fresh_b = sc::ScenarioEngine().run_statistical(b);
+  EXPECT_EQ(shared_a.noise_v, fresh_a.noise_v);
+  EXPECT_EQ(shared_a.delay_s, fresh_a.delay_s);
+  EXPECT_EQ(shared_b.noise_v, fresh_b.noise_v);
+  EXPECT_EQ(shared_b.delay_s, fresh_b.delay_s);
+  EXPECT_NE(shared_a.noise_v, shared_b.noise_v);
+  // statistical_rom serves the cached reductions the two studies ran on.
+  EXPECT_NE(shared.statistical_rom(a), shared.statistical_rom(b));
+  EXPECT_EQ(shared.cache().stats(sc::stage::kBusProm).misses, 2u);
+}
+
+TEST(Statistical, AStudyWithoutReceiverLoadRuns) {
+  // A zero load is a valid workload: the driven reduction stamps no load
+  // capacitor, so the study evaluates instead of rejecting the netlist.
+  sc::Scenario s = statistical_scenario(12);
+  s.workload.load_capacitance_ff = 0.0;
+  const auto shard = sc::ScenarioEngine().run_statistical(s);
+  ASSERT_EQ(shard.noise_v.size(), 12u);
+  for (std::size_t i = 0; i < shard.noise_v.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(shard.noise_v[i]));
+    EXPECT_GT(shard.noise_v[i], 0.0);
+    EXPECT_TRUE(std::isfinite(shard.delay_s[i]));
+  }
+}
+
 TEST(Statistical, MergeRejectsGapsOverlapsAndForeignShards) {
   const sc::Scenario s = statistical_scenario(12);
   const sc::ScenarioEngine engine;
