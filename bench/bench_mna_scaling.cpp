@@ -11,8 +11,7 @@
 // Above the dense-affordable sizes a sparse-only ladder climbs into the
 // 10^4-10^5-unknown regime (ROADMAP item 3): each rung reports the kAmd
 // transient wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA
-// pencil, and the 16 x 128 paper bus closes with the ROM-preconditioned
-// BiCGSTAB vs Jacobi iteration counts against the sparse-LU oracle.
+// pencil.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -22,9 +21,7 @@
 #include "circuit/mna.hpp"
 #include "core/mwcnt_line.hpp"
 #include "numerics/ordering.hpp"
-#include "numerics/solvers.hpp"
 #include "numerics/sparse_lu.hpp"
-#include "rom/interconnect_rom.hpp"
 #include "rom/state_space.hpp"
 
 namespace {
@@ -257,40 +254,6 @@ void print_reproduction() {
   }
   ladder.print(std::cout);
   bench::json().set("ladder_max_unknowns", static_cast<double>(max_unknowns));
-
-  // --- ROM-preconditioned Krylov vs Jacobi on the paper bus ---------------
-  // The BusRom's PRIMA basis doubles as a two-level preconditioner for
-  // full-system solves: coarse correction over the reduced span + Jacobi
-  // smoother. Acceptance: >= 5x fewer BiCGSTAB iterations than Jacobi at
-  // 1e-10 relative residual, matching sparse LU to 1e-8.
-  const rom::BusRom bus(bus_config(16, 128, circuit::SolverKind::kSparse));
-  const auto sys = bus.full_system({}, bus.nominal_shift_rad_per_s());
-  numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
-
-  numerics::IterativeOptions iopt;
-  iopt.max_iterations = 20000;
-  iopt.tolerance = 1e-10;
-  const auto jac = numerics::bicgstab(sys.a, sys.rhs, iopt);
-  const auto pre = bus.preconditioner(sys.a);
-  const auto romit = numerics::bicgstab(sys.a, sys.rhs, iopt, {}, pre.fn());
-  double dmax = 0.0;
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    dmax = std::max(dmax, std::abs(x_lu[i] - romit.x[i]));
-  }
-  std::cout << "\nBiCGSTAB on the terminated 16 x 128 bus ("
-            << sys.a.rows() << " unknowns, tol 1e-10):\n"
-            << "  Jacobi:          " << jac.iterations << " iterations"
-            << (jac.converged ? "" : " (stalled, not converged)") << "\n"
-            << "  ROM two-level:   " << romit.iterations
-            << " iterations (q = " << bus.order() << "), |x - x_lu|_max = "
-            << Table::num(dmax, 3) << "\n";
-  bench::json().set("bicgstab_jacobi_iterations",
-                    static_cast<double>(jac.iterations));
-  bench::json().set("bicgstab_rom_iterations",
-                    static_cast<double>(romit.iterations));
-  bench::json().set("rom_vs_lu_max_abs_diff", dmax);
 }
 
 void BM_SparseBusTransient(benchmark::State& state) {

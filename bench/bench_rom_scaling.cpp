@@ -1,8 +1,9 @@
 // ROM-vs-full-order scaling: the PRIMA reduced bus against the sparse-MNA
 // transient engine on the paper's 16-line, 128-segment coupled bus (2098
 // MNA unknowns). The reproduction payload times a 100-point driver x load
-// scenario sweep both ways — reduce once + evaluate per point (ROM) vs a
-// full transient per point (MNA) — and differentially checks the
+// scenario sweep both ways — reduce the bare bus once (a degenerate-box
+// ParametrizedBusRom) + evaluate per point (ROM) vs a full transient per
+// point (MNA) — and differentially checks the
 // reduced-model 50% delay and far-end noise peak on every point.
 // Acceptance floor: >= 20x sweep speedup with <= 1% worst-case error.
 //
@@ -18,7 +19,7 @@
 #include "circuit/crosstalk.hpp"
 #include "core/mwcnt_line.hpp"
 #include "core/sweep_engine.hpp"
-#include "rom/interconnect_rom.hpp"
+#include "rom/parametrized_rom.hpp"
 
 namespace {
 
@@ -67,7 +68,7 @@ void print_reproduction() {
 
   // --- ROM path: one reduction, then 100 cheap evaluations. --------------
   const auto t_reduce0 = std::chrono::steady_clock::now();
-  const rom::BusRom bus(cfg);
+  const rom::ParametrizedBusRom bus(cfg.topology(), rom::BusTechBox{});
   const double t_reduce = seconds_since(t_reduce0);
 
   const auto t_rom0 = std::chrono::steady_clock::now();
@@ -77,7 +78,7 @@ void print_reproduction() {
     rom::BusScenario sc;
     sc.driver_ohm = p.at("driver_ohm");
     sc.receiver_load_f = p.at("load_f");
-    rom_results[i] = bus.evaluate(sc, kTimeSteps);
+    rom_results[i] = bus.evaluate({}, sc, kTimeSteps);
   }
   const double t_rom_eval = seconds_since(t_rom0);
 
@@ -143,18 +144,20 @@ void print_reproduction() {
 void BM_PrimaReduceBus(benchmark::State& state) {
   const circuit::BusConfig cfg = paper_bus();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rom::BusRom(cfg));
+    benchmark::DoNotOptimize(
+        rom::ParametrizedBusRom(cfg.topology(), rom::BusTechBox{}));
   }
 }
 BENCHMARK(BM_PrimaReduceBus)->Unit(benchmark::kMillisecond);
 
 void BM_RomScenarioEvaluate(benchmark::State& state) {
-  const rom::BusRom bus(paper_bus());
+  const rom::ParametrizedBusRom bus(paper_bus().topology(),
+                                    rom::BusTechBox{});
   rom::BusScenario sc;
   sc.driver_ohm = 2e3;
   sc.receiver_load_f = 0.5e-15;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bus.evaluate(sc, kTimeSteps));
+    benchmark::DoNotOptimize(bus.evaluate({}, sc, kTimeSteps));
   }
 }
 BENCHMARK(BM_RomScenarioEvaluate)->Unit(benchmark::kMillisecond);

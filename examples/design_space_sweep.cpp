@@ -73,8 +73,9 @@ int main() {
   std::cout << "\nKPI map written to scenario_kpis.csv / scenario_kpis.json "
             << "(cache: " << cache_total.hits << " hits / "
             << cache_total.misses << " misses — "
-            << engine.cache().stats(scenario::stage::kBusRom).misses
-            << " bus reductions served " << kpis.size() << " scenarios)\n\n";
+            << engine.cache().stats(scenario::stage::kBusSystem).misses
+            << " bare-bus extractions served " << kpis.size()
+            << " scenarios)\n\n";
 
   // --- 2) Variability Monte Carlo map (paper Sec. II.A / III.C). ---------
   std::cout << "2) Variability MC map: doping x length x growth "

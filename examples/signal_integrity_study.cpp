@@ -160,10 +160,11 @@ int main() {
                        Table::num(units::to_ps(d_max), 3)});
   }
   rom_t.print(std::cout);
-  const auto rom_stats = engine.cache().stats(scenario::stage::kBusRom);
-  std::cout << "\n   cache: " << rom_stats.misses << " reductions for "
-            << results.size() << " scenarios (" << rom_stats.hits
-            << " hits) — every drive scenario reused its length's ROM\n";
+  const auto bus_stats = engine.cache().stats(scenario::stage::kBusSystem);
+  std::cout << "\n   cache: " << bus_stats.misses
+            << " bare-bus extractions for " << results.size()
+            << " scenarios (" << bus_stats.hits
+            << " hits) — every drive reduced its length's bare system\n";
 
   // Corner cross-check: the same corner scenario through the full
   // sparse-MNA noise stage must confirm the cached ROM numbers.

@@ -1,6 +1,5 @@
 #include "rom/interconnect_rom.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -16,54 +15,76 @@ namespace cnti::rom {
 
 namespace {
 
-using circuit::BusConfig;
 using circuit::BusCrosstalkResult;
+using numerics::MatrixD;
+using numerics::SparseMatrix;
 
-/// Builds the reduced model for the bare bus with head/far ports. The
-/// descriptor system and the per-line head/far state indices are written
-/// to the output parameters for BusRom::full_system / preconditioner.
-ReducedModel reduce_bus(const BusConfig& cfg, PrimaOptions opt,
-                        StateSpace& ss_out,
-                        std::vector<std::size_t>& head_states,
-                        std::vector<std::size_t>& far_states) {
-  BusStateSpace bss = extract_bus_state_space(cfg.topology());
-  ss_out = std::move(bss.ss);
-  head_states = std::move(bss.head_states);
-  far_states = std::move(bss.far_states);
+/// `a` with `value` added to the diagonal entry of every row in `states`,
+/// merged into the sorted rows: a diagonal the pattern lacks is inserted
+/// at its column position. A zero value stamps nothing.
+SparseMatrix add_to_diagonals(const SparseMatrix& a,
+                              const std::vector<std::size_t>& states,
+                              double value) {
+  if (value == 0.0) return a;
+  const std::size_t n = a.rows();
+  std::vector<char> stamped(n, 0);
+  for (const std::size_t s : states) stamped[s] = 1;
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::vector<std::size_t> col;
+  std::vector<double> val;
+  col.reserve(a.nnz() + states.size());
+  val.reserve(a.nnz() + states.size());
+  for (std::size_t r = 0; r < n; ++r) {
+    bool pending = stamped[r] != 0;
+    for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
+      const std::size_t c = a.col_indices()[t];
+      if (pending && c >= r) {
+        pending = false;
+        if (c == r) {
+          col.push_back(c);
+          val.push_back(a.values()[t] + value);
+          continue;
+        }
+        col.push_back(r);
+        val.push_back(value);
+      }
+      col.push_back(c);
+      val.push_back(a.values()[t]);
+    }
+    if (pending) {
+      col.push_back(r);
+      val.push_back(value);
+    }
+    row_ptr[r + 1] = col.size();
+  }
+  return SparseMatrix(n, a.cols(), std::move(row_ptr), std::move(col),
+                      std::move(val));
+}
 
-  if (opt.order <= 0) {
-    // Default budget: three block moments' worth of columns (ports at both
-    // ends of every line), capped well below the full order so the
-    // reduction stays a reduction. Empirically this holds the 16 x 128
-    // paper bus to ~1e-4 % noise/delay error vs the full transient.
-    opt.order = std::min(6 * cfg.lines, ss_out.size / 2);
-  }
-  if (opt.expansion_rad_per_s <= 0.0) {
-    // The bare network is held up only by g_min (the drivers that ground
-    // it are attached per scenario), so expand about the analysis window's
-    // corner frequency instead of DC.
-    opt.expansion_rad_per_s = 20.0 / circuit::bus_settle_time_s(cfg);
-  }
-  opt.keep_basis = true;  // preconditioner() needs V
-  return prima_reduce(ss_out, opt);
+int resolve_aggressor(const circuit::BusTopology& topology,
+                      const circuit::BusDrive& drive) {
+  const int agg = drive.aggressor < 0 ? topology.lines / 2 : drive.aggressor;
+  CNTI_EXPECTS(agg < topology.lines, "bus ROM: aggressor index out of range");
+  return agg;
 }
 
 }  // namespace
 
 BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology) {
-  circuit::BusNetlist bus = circuit::build_bus_netlist(topology);
+  const circuit::BusNetlist bus = circuit::build_bus_netlist(topology);
+  // Every head is a port so the extraction has inputs; only G and C are
+  // kept.
   StateSpaceOptions ss_opt;
   ss_opt.include_sources = false;  // the bare bus has none
   for (int l = 0; l < topology.lines; ++l) {
     ss_opt.ports.push_back(
         {"head" + std::to_string(l), bus.head[static_cast<std::size_t>(l)]});
   }
-  for (int l = 0; l < topology.lines; ++l) {
-    ss_opt.ports.push_back(
-        {"far" + std::to_string(l), bus.far[static_cast<std::size_t>(l)]});
-  }
+  StateSpace ss = extract_state_space(bus.ckt, ss_opt);
   BusStateSpace out;
-  out.ss = extract_state_space(bus.ckt, ss_opt);
+  out.topology = topology;
+  out.g = std::move(ss.g);
+  out.c = std::move(ss.c);
   for (int l = 0; l < topology.lines; ++l) {
     out.head_states.push_back(
         static_cast<std::size_t>(bus.head[static_cast<std::size_t>(l)] - 1));
@@ -73,20 +94,88 @@ BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology) {
   return out;
 }
 
+StateSpace bare_bus_ports(const BusStateSpace& bare) {
+  const std::size_t nl = bare.head_states.size();
+  StateSpace ss;
+  ss.g = bare.g;
+  ss.c = bare.c;
+  ss.nodes = ss.size = bare.size();
+  const std::size_t n = static_cast<std::size_t>(ss.size);
+  ss.b = MatrixD(n, 2 * nl);
+  ss.l = MatrixD(n, 2 * nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    ss.b(bare.head_states[l], l) = ss.l(bare.head_states[l], l) = 1.0;
+    ss.b(bare.far_states[l], nl + l) = ss.l(bare.far_states[l], nl + l) = 1.0;
+  }
+  for (std::size_t l = 0; l < nl; ++l) {
+    ss.input_names.push_back("head" + std::to_string(l));
+  }
+  for (std::size_t l = 0; l < nl; ++l) {
+    ss.input_names.push_back("far" + std::to_string(l));
+  }
+  ss.output_names = ss.input_names;
+  return ss;
+}
+
+StateSpace terminate_bus(const BusStateSpace& bare,
+                         const circuit::BusDrive& drive) {
+  CNTI_EXPECTS(drive.driver_ohm > 0, "bus ROM: driver resistance must be > 0");
+  CNTI_EXPECTS(drive.receiver_load_f >= 0, "bus ROM: load must be >= 0");
+  const int agg = resolve_aggressor(bare.topology, drive);
+  const std::size_t nl = bare.far_states.size();
+  StateSpace ss;
+  ss.g = add_to_diagonals(bare.g, bare.head_states, 1.0 / drive.driver_ohm);
+  ss.c = add_to_diagonals(bare.c, bare.far_states, drive.receiver_load_f);
+  ss.nodes = ss.size = bare.size();
+  const std::size_t n = static_cast<std::size_t>(ss.size);
+  ss.b = MatrixD(n, 1);
+  ss.b(bare.head_states[static_cast<std::size_t>(agg)], 0) = 1.0;
+  ss.input_names.push_back("head" + std::to_string(agg));
+  ss.l = MatrixD(n, nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    ss.l(bare.far_states[l], l) = 1.0;
+    ss.output_names.push_back("far" + std::to_string(l));
+  }
+  return ss;
+}
+
+ReducedModel reduce_driven_bus(const BusStateSpace& bare,
+                               const circuit::BusDrive& drive) {
+  PrimaOptions opt;
+  opt.order = kDrivenBusOrder;
+  opt.expansion_rad_per_s =
+      20.0 / circuit::bus_settle_time_s(bare.topology, drive);
+  return prima_reduce(terminate_bus(bare, drive), opt);
+}
+
+BusCrosstalkResult evaluate_bus_drive(const BusStateSpace& bare,
+                                      const circuit::BusDrive& drive,
+                                      int time_steps) {
+  BusScenario sc;
+  sc.driver_ohm = drive.driver_ohm;
+  sc.receiver_load_f = drive.receiver_load_f;
+  sc.vdd_v = drive.vdd_v;
+  sc.edge_time_s = drive.edge_time_s;
+  return evaluate_driven_bus(reduce_driven_bus(bare, drive),
+                             resolve_aggressor(bare.topology, drive), sc,
+                             circuit::bus_settle_time_s(bare.topology, drive),
+                             time_steps);
+}
+
 ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
                                 int aggressor, const BusScenario& sc) {
-  CNTI_EXPECTS(sc.driver_ohm > 0, "BusRom: driver resistance must be > 0");
-  CNTI_EXPECTS(sc.receiver_load_f >= 0, "BusRom: load must be >= 0");
+  CNTI_EXPECTS(sc.driver_ohm > 0, "bus ROM: driver resistance must be > 0");
+  CNTI_EXPECTS(sc.receiver_load_f >= 0, "bus ROM: load must be >= 0");
   CNTI_EXPECTS(aggressor >= 0 && aggressor < lines,
-               "BusRom: aggressor index out of range");
+               "bus ROM: aggressor index out of range");
   CNTI_EXPECTS(bare.inputs() >= 2 * lines && bare.outputs() >= 2 * lines,
-               "BusRom: bare model is missing head/far ports");
+               "bus ROM: bare model is missing head/far ports");
   const int nl = lines;
 
   // Terminations: every head sees its driver's output conductance (the
   // aggressor's Thevenin source becomes a Norton drive at the same port),
   // every far end its receiver load. Port k is input k and output k by
-  // construction in extract_bus_state_space.
+  // construction in bare_bus_ports.
   std::vector<PortTermination> loads;
   loads.reserve(static_cast<std::size_t>(2 * nl));
   for (int l = 0; l < nl; ++l) {
@@ -95,15 +184,15 @@ ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
   for (int l = 0; l < nl; ++l) {
     loads.push_back({nl + l, nl + l, 0.0, sc.receiver_load_f});
   }
-  numerics::MatrixD g = bare.gr();
-  numerics::MatrixD c = bare.cr();
+  MatrixD g = bare.gr();
+  MatrixD c = bare.cr();
   detail::fold_terminations(g, c, bare.br(), bare.lr(), loads);
 
   // Only the aggressor head is driven and only the far ends are read, so
   // the driven model keeps just that input column and those outputs.
   const std::size_t q = g.rows();
-  numerics::MatrixD b(q, 1);
-  numerics::MatrixD l_far(q, static_cast<std::size_t>(nl));
+  MatrixD b(q, 1);
+  MatrixD l_far(q, static_cast<std::size_t>(nl));
   for (std::size_t i = 0; i < q; ++i) {
     b(i, 0) = bare.br()(i, static_cast<std::size_t>(aggressor));
     for (int l = 0; l < nl; ++l) {
@@ -122,12 +211,12 @@ ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
 BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
                                        int aggressor, const BusScenario& sc,
                                        double t_stop_s, int time_steps) {
-  CNTI_EXPECTS(time_steps >= 2, "BusRom: need at least two time steps");
+  CNTI_EXPECTS(time_steps >= 2, "bus ROM: need at least two time steps");
   const int nl = driven.outputs();
   CNTI_EXPECTS(aggressor >= 0 && aggressor < nl,
-               "BusRom: aggressor index out of range");
+               "bus ROM: aggressor index out of range");
   CNTI_EXPECTS(driven.inputs() == 1,
-               "BusRom: driven model needs exactly the aggressor input");
+               "bus ROM: driven model needs exactly the aggressor input");
   static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
   static const obs::Histogram eval_hist =
       obs::histogram("cnti.rom.evaluate_ns");
@@ -162,96 +251,6 @@ BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
   out.aggressor_delay_s =
       crossing < 0.0 ? std::numeric_limits<double>::quiet_NaN() : crossing;
   return out;
-}
-
-BusRom::BusRom(const BusConfig& config, PrimaOptions options)
-    : config_(config),
-      aggressor_(config.aggressor < 0 ? config.lines / 2 : config.aggressor),
-      rom_(reduce_bus(config, options, ss_, head_states_, far_states_)) {
-  CNTI_EXPECTS(aggressor_ >= 0 && aggressor_ < config_.lines,
-               "BusRom: aggressor index out of range");
-}
-
-BusRom::BusRom(const circuit::BusTopology& topology, int aggressor,
-               PrimaOptions options)
-    : BusRom(circuit::make_bus_config(topology,
-                                      circuit::BusDrive{.aggressor =
-                                                            aggressor}),
-             options) {}
-
-double BusRom::nominal_shift_rad_per_s() const {
-  return 20.0 / circuit::bus_settle_time_s(config_);
-}
-
-BusSystem BusRom::full_system(const BusScenario& sc, double s) const {
-  CNTI_EXPECTS(sc.driver_ohm > 0, "BusRom: driver resistance must be > 0");
-  CNTI_EXPECTS(sc.receiver_load_f >= 0, "BusRom: load must be >= 0");
-  CNTI_EXPECTS(s >= 0, "BusRom: shift must be >= 0");
-  const std::size_t n = static_cast<std::size_t>(ss_.size);
-
-  // A = G + s C over the bare pattern, then the scenario's terminations on
-  // the port diagonals — the same network evaluate() folds into the
-  // reduced matrices, assembled at full order.
-  numerics::SparseBuilder b(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t t = ss_.g.row_ptr()[r]; t < ss_.g.row_ptr()[r + 1];
-         ++t) {
-      b.add(r, ss_.g.col_indices()[t], ss_.g.values()[t]);
-    }
-  }
-  if (s != 0.0) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t t = ss_.c.row_ptr()[r]; t < ss_.c.row_ptr()[r + 1];
-           ++t) {
-        b.add(r, ss_.c.col_indices()[t], s * ss_.c.values()[t]);
-      }
-    }
-  }
-  const double g_drv = 1.0 / sc.driver_ohm;
-  for (const std::size_t h : head_states_) b.add(h, h, g_drv);
-  if (sc.receiver_load_f > 0.0 && s != 0.0) {
-    for (const std::size_t f : far_states_) {
-      b.add(f, f, s * sc.receiver_load_f);
-    }
-  }
-
-  BusSystem sys;
-  sys.a = b.build();
-  sys.rhs.assign(n, 0.0);
-  // Norton drive: the aggressor's settled Thevenin source vdd behind
-  // R_driver injects vdd / R_driver at its head port.
-  sys.rhs[head_states_[static_cast<std::size_t>(aggressor_)]] =
-      sc.vdd_v * g_drv;
-  return sys;
-}
-
-BusScenario BusRom::nominal_scenario() const {
-  BusScenario sc;
-  sc.driver_ohm = config_.driver_ohm;
-  sc.receiver_load_f = config_.receiver_load_f;
-  sc.vdd_v = config_.vdd_v;
-  sc.edge_time_s = config_.edge_time_s;
-  return sc;
-}
-
-double BusRom::window_s(const BusScenario& sc) const {
-  // Same window/grid as the full transient of the matching BusConfig —
-  // every scenario field that enters the settle estimate (driver strength,
-  // edge time *and receiver load*) is propagated.
-  circuit::BusDrive drive;
-  drive.aggressor = aggressor_;
-  drive.driver_ohm = sc.driver_ohm;
-  drive.vdd_v = sc.vdd_v;
-  drive.edge_time_s = sc.edge_time_s;
-  drive.receiver_load_f = sc.receiver_load_f;
-  return circuit::bus_settle_time_s(config_.topology(), drive);
-}
-
-BusCrosstalkResult BusRom::evaluate(const BusScenario& sc,
-                                    int time_steps) const {
-  return evaluate_driven_bus(
-      terminate_bare_bus(rom_, config_.lines, aggressor_, sc), aggressor_, sc,
-      window_s(sc), time_steps);
 }
 
 }  // namespace cnti::rom

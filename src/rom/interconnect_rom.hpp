@@ -1,23 +1,24 @@
 // ROM-accelerated coupled-bus crosstalk: the fast path behind
 // analyze_bus_crosstalk-style design-space sweeps. The bare N-line bus
-// (ladders + coupling, no drivers/loads) is extracted once with a
-// current/voltage port at every line head and far end and PRIMA-reduced to
-// a q x q model; each driver-strength / receiver-load scenario then folds
-// its terminations into the reduced matrices (rank-1 updates), replaces
-// the aggressor's Thevenin driver by its Norton equivalent at the head
-// port, and runs the whole transient on the small system — hundreds of
-// times cheaper than a sparse-MNA transient with 2000+ unknowns, on the
-// identical stimulus and time grid.
+// (ladders + coupling, no drivers/loads) is extracted once per topology
+// as a descriptor system (BusStateSpace). Each drive then terminates that
+// system — a driver conductance at every head, a receiver load at every
+// far end — and reduces it as a one-input system (current into the
+// aggressor head, far ends observed), so a handful of Krylov vectors
+// capture the response that a bare 2N-port reduction needs blocks of 2N
+// columns per moment for. The Thevenin aggressor driver enters as its
+// Norton equivalent and the whole transient runs on the small system, on
+// the identical stimulus and time grid as the sparse-MNA transient.
 //
-// evaluate() is const and thread-safe: reduce once per topology, sweep
-// scenarios in parallel through core::run_sweep / numerics::ThreadPool.
+// Every function here is pure: share one BusStateSpace across threads and
+// evaluate drives in parallel through core::run_sweep / ThreadPool.
 #pragma once
 
+#include <vector>
+
 #include "circuit/crosstalk.hpp"
-#include "numerics/solvers.hpp"
 #include "numerics/sparse.hpp"
 #include "rom/prima.hpp"
-#include "rom/rom_preconditioner.hpp"
 
 namespace cnti::rom {
 
@@ -29,25 +30,62 @@ struct BusScenario {
   double edge_time_s = 20e-12;
 };
 
-/// Bare-bus descriptor system with head/far ports plus the per-line state
-/// indices of the port nodes (node id - 1: the bare bus has no vsource or
-/// inductor branches, so states are exactly the non-ground node voltages).
-/// The extraction BusRom and ParametrizedBusRom share: ports are
-/// head0..head{N-1} then far0..far{N-1}, each both an input and an output.
+/// Bare-bus descriptor system C dx/dt + G x over the non-ground node
+/// voltages (the bare bus has no vsource or inductor branches, so state
+/// i is node i + 1), plus the per-line state indices of the head and far
+/// terminals and the topology it was extracted from. Port maps are not
+/// stored: bare_bus_ports and terminate_bus build the ones they need.
 struct BusStateSpace {
-  StateSpace ss;
+  circuit::BusTopology topology;
+  numerics::SparseMatrix g, c;
   std::vector<std::size_t> head_states, far_states;
+
+  int size() const { return static_cast<int>(g.rows()); }
 };
 
-/// Builds the bare bus netlist of `topology` and extracts its ported
-/// descriptor system (see BusStateSpace for the port convention).
+/// Builds the bare bus netlist of `topology` and extracts its G, C and
+/// head/far state indices.
 BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology);
 
+/// The bare 2N-port system: ports head0..head{N-1} then far0..far{N-1},
+/// each both a current input and a voltage output — what the bare
+/// ParametrizedBusRom reduces, so any drive can be folded in afterwards
+/// (terminate_bare_bus).
+StateSpace bare_bus_ports(const BusStateSpace& bare);
+
+/// The bus under one drive as a one-input system: 1 / driver_ohm added to
+/// every head diagonal of G, the receiver load added to every far
+/// diagonal of C (a zero load stamps nothing), B the aggressor-head
+/// injection (-1 = centre line) and L the far-end voltages. The one
+/// termination path of the per-drive reduction and of the driven
+/// ParametrizedBusRom corners.
+StateSpace terminate_bus(const BusStateSpace& bare,
+                         const circuit::BusDrive& drive);
+
+/// Krylov vectors of a per-drive reduction: the smallest budget that
+/// holds the 16 x 64 and 16 x 128 buses to the accuracy of the former
+/// bare q = 96 reduction over drivers 200 Ohm..100 kOhm and loads
+/// 0..5 fF (table in docs/MODEL_ORDER_REDUCTION.md).
+inline constexpr int kDrivenBusOrder = 12;
+
+/// terminate_bus + prima_reduce at kDrivenBusOrder vectors, expanded at
+/// 20 / bus_settle_time_s(bare.topology, drive): the drive's own
+/// analysis-window corner.
+ReducedModel reduce_driven_bus(const BusStateSpace& bare,
+                               const circuit::BusDrive& drive);
+
+/// The scenario engine's reduced-order noise KPI: reduce_driven_bus, then
+/// evaluate_driven_bus over the bus_settle_time_s window — the same grid
+/// as analyze_bus_crosstalk of the matching full config.
+circuit::BusCrosstalkResult evaluate_bus_drive(const BusStateSpace& bare,
+                                               const circuit::BusDrive& drive,
+                                               int time_steps);
+
 /// Folds one scenario's terminations into a *bare* reduced bus model
-/// (ports as in BusStateSpace): every head gets its driver conductance,
+/// (ports as in bare_bus_ports): every head gets its driver conductance,
 /// every far end its receiver load, and the model is sliced to the
 /// aggressor-head input and the far-end outputs — the driven shape
-/// evaluate_driven_bus simulates. Used by the bare ROMs only.
+/// evaluate_driven_bus simulates. Used by the bare ParametrizedBusRom.
 ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
                                 int aggressor, const BusScenario& scenario);
 
@@ -57,91 +95,13 @@ ReducedModel terminate_bare_bus(const ReducedModel& bare, int lines,
 /// Norton equivalent, [0, t_stop_s] is simulated on `time_steps`
 /// trapezoidal steps, and the worst victim noise and the aggressor 50%
 /// delay (quiet NaN if never crossed) are measured. The one KPI path of
-/// BusRom and both ParametrizedBusRom kinds, field-for-field comparable
-/// with analyze_bus_crosstalk. The scenario's driver resistance is taken
-/// as already checked > 0 (by terminate_bare_bus, or by the driven ROM's
-/// driver resistors).
+/// every bus ROM, field-for-field comparable with analyze_bus_crosstalk.
+/// The scenario's driver resistance is taken as already checked > 0 (by
+/// terminate_bus or terminate_bare_bus).
 circuit::BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
                                                 int aggressor,
                                                 const BusScenario& scenario,
                                                 double t_stop_s,
                                                 int time_steps);
-
-/// Full-order terminated bus system A x = b at one (real) frequency-like
-/// shift: A = G + Gdrv + s (C + Cload) over the bare-bus state vector,
-/// with the aggressor's Norton drive current on the right-hand side. The
-/// companion system of one backward-Euler step is exactly this form with
-/// s = 1/dt, so it doubles as the iterative-solver benchmark system.
-struct BusSystem {
-  numerics::SparseMatrix a;
-  std::vector<double> rhs;
-};
-
-class BusRom {
- public:
-  /// Reduces the bare coupled bus of `config` (its driver/load/stimulus
-  /// fields only define the nominal scenario and the simulated window).
-  /// `options.order <= 0` picks a budget from the bus size; an
-  /// `expansion_rad_per_s` of 0 is replaced by the bus's settle-time
-  /// corner, because the bare network's G alone is g_min-singular.
-  explicit BusRom(const circuit::BusConfig& config,
-                  PrimaOptions options = {.order = 0});
-
-  /// Topology-keyed construction — the scenario engine's cache seam: the
-  /// reduction (and its expansion point) depends only on `topology` plus
-  /// default-BusDrive nominals, so a memo cache keyed on (topology,
-  /// aggressor) content shares one BusRom across every
-  /// driver/load/stimulus scenario of a batch. `aggressor` only selects
-  /// the driven port for evaluate() (-1 = centre); it does not affect the
-  /// reduction. Equivalent to BusRom(circuit::make_bus_config(topology,
-  /// circuit::BusDrive{.aggressor = aggressor})).
-  explicit BusRom(const circuit::BusTopology& topology, int aggressor = -1,
-                  PrimaOptions options = {.order = 0});
-
-  int full_order() const { return rom_.full_order(); }
-  int order() const { return rom_.order(); }
-  int lines() const { return config_.lines; }
-  const ReducedModel& model() const { return rom_; }
-
-  /// The scenario implied by the construction config.
-  BusScenario nominal_scenario() const;
-
-  /// Runs the scenario transient on the reduced model; field-for-field
-  /// comparable with analyze_bus_crosstalk of the matching full config.
-  circuit::BusCrosstalkResult evaluate(const BusScenario& scenario,
-                                       int time_steps = 1500) const;
-
-  /// The transient window evaluate() simulates for `scenario`: exactly
-  /// circuit::bus_settle_time_s of the construction topology under the
-  /// scenario's drive — including its receiver load, so the ROM and the
-  /// full-MNA path can never disagree on the grid.
-  double window_s(const BusScenario& scenario) const;
-
-  /// Assembles the full-order terminated system at shift `s` [rad/s]
-  /// (s >= 0): driver conductances fold onto the head diagonals, receiver
-  /// loads onto the far-end diagonals, and the aggressor head gets its
-  /// Norton current vdd / R_driver. Solving it with SparseLu gives the
-  /// steady full-network response the ROM approximates; solving it with a
-  /// Krylov method is what preconditioner() accelerates.
-  BusSystem full_system(const BusScenario& scenario, double s) const;
-
-  /// Default shift for full_system: the reduction's expansion corner
-  /// 20 / settle_time, where the ROM basis is most informative.
-  double nominal_shift_rad_per_s() const;
-
-  /// Two-level ROM+Jacobi preconditioner for Krylov solves of `a` (any
-  /// matrix over the same state vector, typically full_system().a at some
-  /// shift). Pass to numerics::bicgstab / numerics::gmres via fn().
-  RomPreconditioner preconditioner(const numerics::SparseMatrix& a) const {
-    return RomPreconditioner(a, rom_.basis());
-  }
-
- private:
-  circuit::BusConfig config_;
-  int aggressor_ = 0;
-  StateSpace ss_;  ///< Bare-bus descriptor (filled by reduce_bus).
-  std::vector<std::size_t> head_states_, far_states_;  ///< Per line.
-  ReducedModel rom_;  ///< Declared last: its init populates the above.
-};
 
 }  // namespace cnti::rom

@@ -57,42 +57,6 @@ double interior_fraction(int probe, int axis) {
   return 0.15 + 0.7 * (x - std::floor(x));
 }
 
-/// One corner of a driven ROM: the bus with `drive`'s terminations as
-/// circuit elements, the aggressor head as the one port and only the far
-/// ends in the output map.
-StateSpace driven_bus_state_space(const circuit::BusTopology& t,
-                                  const circuit::BusDrive& drive,
-                                  int aggressor) {
-  CNTI_EXPECTS(drive.receiver_load_f >= 0,
-               "ParametrizedBusRom: load must be >= 0");
-  circuit::BusNetlist bus = circuit::build_bus_netlist(t);
-  for (int l = 0; l < t.lines; ++l) {
-    const std::size_t ul = static_cast<std::size_t>(l);
-    bus.ckt.add_resistor("rdrv" + std::to_string(l), bus.head[ul], 0,
-                         drive.driver_ohm);
-    if (drive.receiver_load_f > 0) {  // a zero load stamps nothing
-      bus.ckt.add_capacitor("cl" + std::to_string(l), bus.far[ul], 0,
-                            drive.receiver_load_f);
-    }
-  }
-  StateSpaceOptions opt;
-  opt.include_sources = false;  // the bus has none
-  opt.ports.push_back({"head" + std::to_string(aggressor),
-                       bus.head[static_cast<std::size_t>(aggressor)]});
-  opt.observe = bus.far;
-  StateSpace ss = extract_state_space(bus.ckt, opt);
-
-  // Output 0 is the port's own voltage sense, which no KPI reads.
-  const std::size_t far_outputs = bus.far.size();
-  MatrixD l_far(ss.l.rows(), far_outputs);
-  for (std::size_t r = 0; r < ss.l.rows(); ++r) {
-    for (std::size_t j = 0; j < far_outputs; ++j) l_far(r, j) = ss.l(r, j + 1);
-  }
-  ss.l = std::move(l_far);
-  ss.output_names.erase(ss.output_names.begin());
-  return ss;
-}
-
 }  // namespace
 
 ParametrizedBusRom::ParametrizedBusRom(const circuit::BusTopology& nominal,
@@ -125,19 +89,17 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   }
 
   // Every corner reduction shares the nominal topology's expansion point
-  // (the same settle-time corner the topology-keyed BusRom picks; a driven
-  // ROM uses its own drive's settle time), so the corner Krylov spaces
-  // approximate the same frequency band and their union stays a
-  // meaningful shared basis.
-  circuit::BusDrive nominal_drive;
-  nominal_drive.aggressor = aggressor_;
+  // (its settle-time corner under a default drive; a driven ROM uses its
+  // own drive's settle time), so the corner Krylov spaces approximate the
+  // same frequency band and their union stays a meaningful shared basis.
+  circuit::BusDrive corner_drive = drive_.value_or(circuit::BusDrive{});
+  corner_drive.aggressor = aggressor_;
   const double nominal_s0 =
-      20.0 / circuit::bus_settle_time_s(topology_,
-                                        drive_.value_or(nominal_drive));
+      20.0 / circuit::bus_settle_time_s(topology_, corner_drive);
 
   // Corner enumeration: resistance axis fastest, lexicographic, collapsed
   // axes contributing a single value — a degenerate box has one corner and
-  // a bare model coincides with an ordinary BusRom of the nominal topology.
+  // a bare model is a plain PRIMA reduction of the nominal topology.
   const auto axis_values = [](const Axis& a) {
     return a.lo == a.hi ? std::vector<double>{a.lo}
                         : std::vector<double>{a.lo, a.hi};
@@ -155,9 +117,9 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   corner_ss.reserve(corner_points_.size());
   corner_bases.reserve(corner_points_.size());
   for (const BusTechPoint& cp : corner_points_) {
-    StateSpace ss =
-        drive_ ? driven_bus_state_space(topology_at(cp), *drive_, aggressor_)
-               : extract_bus_state_space(topology_at(cp)).ss;
+    const BusStateSpace bare = extract_bus_state_space(topology_at(cp));
+    StateSpace ss = drive_ ? terminate_bus(bare, corner_drive)
+                           : bare_bus_ports(bare);
     PrimaOptions opt = corner_options;
     if (opt.order <= 0) {
       // A driven corner has one input, so its Krylov space grows one
@@ -179,9 +141,10 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   const std::size_t n = static_cast<std::size_t>(full_order_);
 
   // Merge the corner bases into one orthonormal basis. A single corner
-  // keeps its PRIMA basis verbatim (bit-identical to BusRom); otherwise
-  // the same MGS + reorthogonalization + deflation scheme prima_reduce
-  // uses absorbs each corner's vectors in corner order.
+  // keeps its PRIMA basis verbatim (bit-identical to prima_reduce of the
+  // nominal system); otherwise the same MGS + reorthogonalization +
+  // deflation scheme prima_reduce uses absorbs each corner's vectors in
+  // corner order.
   std::vector<std::vector<double>> basis;
   if (corner_bases.size() == 1) {
     basis = std::move(corner_bases.front());

@@ -1,5 +1,5 @@
 // Corner-anchored parametrized bus ROM: the reduction that survives
-// technology variability. A topology-keyed BusRom is invalidated the
+// technology variability. A reduction of one topology is invalidated the
 // moment a Monte Carlo sample perturbs the per-unit-length electricals —
 // re-running PRIMA per sample would cost more than the full transient it
 // replaces. Instead, reduce once at the 2^k corner anchors of the varied
@@ -18,7 +18,7 @@
 // sparse-MNA transient at sampled non-anchor points.
 //
 // A study whose drive is fixed reduces the *driven* bus instead (the
-// BusDrive constructor): the terminations are stamped into every corner
+// BusDrive constructor): every corner is terminated by terminate_bus
 // before PRIMA and each corner is a one-input system, so the merged order
 // drops from a block of 2 * lines ports per moment to a few vectors per
 // corner.
@@ -45,8 +45,9 @@ struct BusTechPoint {
 
 /// Axis-aligned scale box the ROM is anchored on: corners are every
 /// lo/hi combination of the axes with lo != hi (equal bounds collapse the
-/// axis, so a fully degenerate box has a single corner and the model is an
-/// ordinary BusRom). All bounds must be positive with lo <= hi.
+/// axis, so a fully degenerate box has a single corner and the model is a
+/// plain PRIMA reduction of the nominal bus). All bounds must be positive
+/// with lo <= hi.
 struct BusTechBox {
   BusTechPoint lo;
   BusTechPoint hi;
@@ -64,22 +65,22 @@ class ParametrizedBusRom {
   /// Reduces the bare coupled bus at every corner of `box` around
   /// `nominal` and merges the bases. `aggressor` only selects the driven
   /// port for evaluate() (-1 = centre). `corner_options` applies to each
-  /// corner reduction: order <= 0 picks the BusRom budget, expansion 0 the
-  /// nominal topology's settle-time corner (one expansion point for all
-  /// corners, so the bases stay comparable).
+  /// corner reduction: order <= 0 picks 6 * lines (three block moments of
+  /// the 2 * lines ports), expansion 0 the nominal topology's settle-time
+  /// corner under a default BusDrive (one expansion point for all corners,
+  /// so the bases stay comparable).
   ParametrizedBusRom(const circuit::BusTopology& nominal,
                      const BusTechBox& box, int aggressor = -1,
                      PrimaOptions corner_options = {.order = 0});
 
   /// Driven reduction for a study whose drive is fixed: every corner's bus
-  /// carries `drive`'s terminations as circuit elements (a driver resistor
-  /// from every head to ground, a receiver load at every far end) and is
-  /// reduced as a one-input system — current into the aggressor head,
-  /// observing the far ends. The terminations do not depend on the
-  /// technology point, so the blend stays exact. Each corner gets 8
-  /// Krylov vectors, expanded at 20 / bus_settle_time_s under `drive`.
-  /// evaluate() then accepts only scenarios with the reduced driver and
-  /// load.
+  /// is terminated by terminate_bus (driver conductance at every head,
+  /// receiver load at every far end) and reduced as a one-input system —
+  /// current into the aggressor head, observing the far ends. The
+  /// terminations do not depend on the technology point, so the blend
+  /// stays exact. Each corner gets 8 Krylov vectors, expanded at
+  /// 20 / bus_settle_time_s under `drive`. evaluate() then accepts only
+  /// scenarios with the reduced driver and load.
   ParametrizedBusRom(const circuit::BusTopology& nominal,
                      const BusTechBox& box, const circuit::BusDrive& drive);
 
@@ -98,7 +99,7 @@ class ParametrizedBusRom {
 
   /// Blended reduced model at `point` (must lie inside the box): exactly
   /// V^T G(p) V / V^T C(p) V, see the header comment. A bare ROM's model
-  /// has head/far ports (BusStateSpace); a driven ROM's has the drive's
+  /// has head/far ports (bare_bus_ports); a driven ROM's has the drive's
   /// terminations folded in, the aggressor-head input and the far-end
   /// outputs — the shape terminate_bare_bus gives a bare one.
   ReducedModel model_at(const BusTechPoint& point) const;

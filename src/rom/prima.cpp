@@ -18,29 +18,46 @@ namespace {
 using detail::dot;
 using detail::norm2;
 using numerics::MatrixD;
-using numerics::SparseBuilder;
 using numerics::SparseLu;
 using numerics::SparseMatrix;
 
 /// K = G + s0 C over the union pattern (built once; the factorization is
-/// reused for every Arnoldi solve).
+/// reused for every Arnoldi solve), as a merge of the sorted G and C rows.
+/// Each entry sums at most one term of each, so it is bitwise the value
+/// a triplet build of the two streams would sum.
 SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
                             double s0) {
+  if (s0 == 0.0) return g;
   const std::size_t n = g.rows();
-  SparseBuilder k(n, n);
+  const auto& gp = g.row_ptr();
+  const auto& gc = g.col_indices();
+  const auto& gv = g.values();
+  const auto& cp = c.row_ptr();
+  const auto& cc = c.col_indices();
+  const auto& cv = c.values();
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::vector<std::size_t> col;
+  std::vector<double> val;
+  col.reserve(g.nnz() + c.nnz());
+  val.reserve(g.nnz() + c.nnz());
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t t = g.row_ptr()[r]; t < g.row_ptr()[r + 1]; ++t) {
-      k.add(r, g.col_indices()[t], g.values()[t]);
-    }
-  }
-  if (s0 != 0.0) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t t = c.row_ptr()[r]; t < c.row_ptr()[r + 1]; ++t) {
-        k.add(r, c.col_indices()[t], s0 * c.values()[t]);
+    std::size_t i = gp[r], j = cp[r];
+    while (i < gp[r + 1] || j < cp[r + 1]) {
+      if (j == cp[r + 1] || (i < gp[r + 1] && gc[i] < cc[j])) {
+        col.push_back(gc[i]);
+        val.push_back(gv[i++]);
+      } else if (i == gp[r + 1] || cc[j] < gc[i]) {
+        col.push_back(cc[j]);
+        val.push_back(s0 * cv[j++]);
+      } else {
+        col.push_back(gc[i]);
+        val.push_back(gv[i++] + s0 * cv[j++]);
       }
     }
+    row_ptr[r + 1] = col.size();
   }
-  return k.build();
+  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
+                      std::move(val));
 }
 
 }  // namespace

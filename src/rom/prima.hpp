@@ -34,8 +34,8 @@ struct PrimaOptions {
   double deflation_tol = 1e-8;
   /// Retain the orthonormal projection basis V (n x q) on the returned
   /// model. Costs n*q doubles of storage; required for uses that map
-  /// between full and reduced coordinates, e.g. two-level ROM
-  /// preconditioning of full-system Krylov solves (rom_preconditioner.hpp).
+  /// between full and reduced coordinates, e.g. merging corner bases in
+  /// ParametrizedBusRom.
   bool keep_basis = false;
   /// Numeric kernel for the Arnoldi LU. PRIMA factorizes G + s0 C exactly
   /// once and then back-substitutes q times, so the supernodal kernel's

@@ -193,17 +193,21 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
     const circuit::BusDrive drive = to_bus_drive(s);
     if (s.analysis.noise_model == NoiseModel::kReducedOrder) {
       // Disk-persisted leaf: the evaluated noise result per (topology,
-      // drive, grid). The PRIMA reduction itself is memory-only and nested
-      // inside the compute, so one reduction per topology (+ aggressor
-      // port choice) is shared across every driver/load/stimulus scenario
-      // of the batch — and on a warm disk hit it is never rebuilt at all.
+      // drive, grid). The compute terminates the topology's bare
+      // descriptor system for this drive and reduces it as a one-input
+      // system (rom::evaluate_bus_drive). The bare system is memory-only
+      // and nested inside the compute, so one extraction per topology is
+      // shared across every drive of the batch — and on a warm disk hit
+      // it is never built at all.
       // .v3: the settle window gained the receiver load and the delay
       // sentinel became NaN — same key inputs, different values, so the
       // schema bump retires every pre-fix persisted entry (PR-7 policy).
       // .v4: the sparse LU gained the supernodal kernel (kAuto default);
       // last-bit rounding differs from the scalar path, so persisted
       // numeric leaves from the scalar era are retired wholesale.
-      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v5",
+      // .v6: per-drive reduction of the terminated bus (12 vectors)
+      // instead of folding the drive into a bare 2N-port reduction.
+      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v6",
                                            topology.line);
       eval_key.add(topology.coupling_cap_per_m)
           .add(topology.length_m)
@@ -218,23 +222,14 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusRomEval, eval_key.key(),
           [&] {
-            KeyHasher h = line_rlc_hasher("stage.bus-rom.v4", topology.line);
-            h.add(topology.coupling_cap_per_m)
-                .add(topology.length_m)
-                .add(topology.lines)
-                .add(topology.segments)
-                .add(drive.aggressor);
-            const auto rom = cache_.get_or_compute<rom::BusRom>(
-                stage::kBusRom, h.key(), [&] {
-                  return std::make_shared<rom::BusRom>(topology,
-                                                       drive.aggressor);
+            const auto bare = cache_.get_or_compute<rom::BusStateSpace>(
+                stage::kBusSystem,
+                topology_key("stage.bus-system.v1", topology), [&] {
+                  return std::make_shared<rom::BusStateSpace>(
+                      rom::extract_bus_state_space(topology));
                 });
-            rom::BusScenario sc;
-            sc.driver_ohm = drive.driver_ohm;
-            sc.receiver_load_f = drive.receiver_load_f;
-            sc.vdd_v = drive.vdd_v;
-            sc.edge_time_s = drive.edge_time_s;
-            return rom->evaluate(sc, s.analysis.time_steps);
+            return rom::evaluate_bus_drive(*bare, drive,
+                                           s.analysis.time_steps);
           },
           &bus_result_codec());
       out.noise = *result;

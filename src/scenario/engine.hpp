@@ -7,11 +7,11 @@
 //
 // with a content-keyed MemoCache so a batch automatically shares the
 // expensive per-technology / per-topology artifacts (TCAD extractions,
-// bare bus netlists, PRIMA BusRom reductions, full-MNA transients) across
-// scenarios. Batches execute on numerics::ThreadPool through
-// core::SweepEngine and are bit-identical at any thread count — every
-// cached value is a pure function of its content key, so sharing changes
-// cost, never results (see docs/SCENARIO_ENGINE.md).
+// bare bus netlists and descriptor systems, parametrized ROMs, full-MNA
+// transients) across scenarios. Batches execute on numerics::ThreadPool
+// through core::SweepEngine and are bit-identical at any thread count —
+// every cached value is a pure function of its content key, so sharing
+// changes cost, never results (see docs/SCENARIO_ENGINE.md).
 #pragma once
 
 #include <memory>
@@ -44,7 +44,7 @@ inline constexpr const char* kAtomistic = "atomistic";
 inline constexpr const char* kCapacitance = "capacitance";
 inline constexpr const char* kDelayMna = "delay-mna";
 inline constexpr const char* kBusNetlist = "bus-netlist";
-inline constexpr const char* kBusRom = "bus-rom";
+inline constexpr const char* kBusSystem = "bus-system";
 inline constexpr const char* kBusProm = "bus-prom";
 inline constexpr const char* kBusRomEval = "bus-rom-eval";
 inline constexpr const char* kBusMna = "bus-mna";

@@ -75,8 +75,10 @@ enum class DelayModel {
 
 /// Noise model for the coupled-bus KPI.
 enum class NoiseModel {
-  kReducedOrder,  ///< Cached per-topology PRIMA BusRom evaluation.
-  kFullMna,       ///< Full sparse-MNA bus transient.
+  /// Per-drive PRIMA reduction of the terminated bus (one input, 12
+  /// vectors) over a cached per-topology bare descriptor system.
+  kReducedOrder,
+  kFullMna,  ///< Full sparse-MNA bus transient.
 };
 
 /// Which KPIs to compute, and through which stage implementations.

@@ -293,12 +293,14 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // driver, load), shared across every sample, shard and thread of the
   // study: the study's drive is fixed, so its terminations are reduced
   // with the bus (vdd and the edge only shape the input and stay out of
-  // the key). Memory-only, like the plain BusRom stage: the reduction
+  // the key). Memory-only, like the bare bus-system stage: the reduction
   // nests inside the per-sample evaluations and is cheap relative to the
   // study it unlocks.
   // .v2: sparse-LU supernodal kernel era (see engine.cpp's .v4 bumps).
   // .v3: driven reduction; the key carries the driver and the load.
-  KeyHasher prom_key("stage.bus-prom.v3");
+  // .v4: corners terminated by rom::terminate_bus instead of stamped
+  // netlist elements; last bits of the driven corners move.
+  KeyHasher prom_key("stage.bus-prom.v4");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

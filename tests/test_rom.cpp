@@ -26,7 +26,6 @@
 #include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
 #include "rom/prima.hpp"
-#include "rom/rom_preconditioner.hpp"
 
 namespace cir = cnti::circuit;
 namespace cc = cnti::core;
@@ -334,13 +333,15 @@ TEST(Prima, ReducedPolesStayInLeftHalfPlane) {
 TEST(Prima, TerminatedBusRomStaysStable) {
   // Termination folding is a congruence update of a passive network, so
   // stability must survive any nonnegative driver/load attachment.
-  const rom::BusRom bus(paper_bus(4, 12));
+  const rom::ParametrizedBusRom bus(paper_bus(4, 12).topology(),
+                                    rom::BusTechBox{});
+  const rom::ReducedModel bare = bus.model_at({});
   for (const double r : {500.0, 5e3, 50e3}) {
     for (const double cl : {0.0, 0.2e-15, 5e-15}) {
       std::vector<rom::PortTermination> loads;
       for (int l = 0; l < 4; ++l) loads.push_back({l, l, 1.0 / r, 0.0});
       for (int l = 0; l < 4; ++l) loads.push_back({4 + l, 4 + l, 0.0, cl});
-      EXPECT_TRUE(bus.model().terminated(loads).stable())
+      EXPECT_TRUE(bare.terminated(loads).stable())
           << "r = " << r << ", cl = " << cl;
     }
   }
@@ -424,12 +425,14 @@ TEST(Prima, StepResponseMatchesTransientEngineOnRcLadder) {
 class BusRomVsFullMna : public ::testing::TestWithParam<int> {};
 
 TEST_P(BusRomVsFullMna, NoiseAndDelayWithinOnePercent) {
-  // Acceptance-grade differential: ROM evaluation vs the full sparse-MNA
-  // transient on nominal and off-nominal driver/load scenarios.
+  // Acceptance-grade differential: the bare bus ROM (a degenerate-box
+  // ParametrizedBusRom: one reduction, drives folded in afterwards) vs the
+  // full sparse-MNA transient on nominal and off-nominal driver/load
+  // scenarios.
   const int lines = GetParam();
   const int segments = lines >= 16 ? 128 : 48;
   cir::BusConfig cfg = paper_bus(lines, segments);
-  const rom::BusRom bus(cfg);
+  const rom::ParametrizedBusRom bus(cfg.topology(), rom::BusTechBox{});
   EXPECT_LT(bus.order(), bus.full_order() / 4);
 
   struct Scenario {
@@ -445,7 +448,7 @@ TEST_P(BusRomVsFullMna, NoiseAndDelayWithinOnePercent) {
     rom::BusScenario rsc;
     rsc.driver_ohm = sc.driver_ohm;
     rsc.receiver_load_f = sc.load_f;
-    const auto red = bus.evaluate(rsc, 600);
+    const auto red = bus.evaluate({}, rsc, 600);
 
     EXPECT_EQ(red.worst_victim, full.worst_victim);
     EXPECT_NEAR(red.peak_noise_v, full.peak_noise_v,
@@ -500,14 +503,15 @@ TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
   // One shared reduced bus evaluated across a driver x load grid through
   // the sweep engine: results must be bit-identical at any thread count
   // (and data-race-free under TSan).
-  const rom::BusRom bus(paper_bus(4, 16));
+  const rom::ParametrizedBusRom bus(paper_bus(4, 16).topology(),
+                                    rom::BusTechBox{});
   const cnti::core::SweepGrid grid(
       {{"driver_ohm", {1e3, 3e3, 10e3}}, {"load_f", {0.1e-15, 0.5e-15}}});
   const auto eval = [&bus](const cnti::core::SweepPoint& p) {
     rom::BusScenario sc;
     sc.driver_ohm = p.at("driver_ohm");
     sc.receiver_load_f = p.at("load_f");
-    return bus.evaluate(sc, 200).peak_noise_v;
+    return bus.evaluate({}, sc, 200).peak_noise_v;
   };
   const auto serial =
       cnti::core::run_sweep(grid, eval, {.threads = 1, .grain = 1});
@@ -626,7 +630,8 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
   // The terminated 16-line paper bus with every port of the model kept,
   // a Norton edge on the centre head and 31 undriven ports; then the same
   // with a quiet-high victim, a driven DC input that runs the DC start.
-  const rom::BusRom bus(paper_bus(16, 128));
+  const rom::ParametrizedBusRom bus(paper_bus(16, 128).topology(),
+                                    rom::BusTechBox{});
   rom::BusScenario sc;
   sc.driver_ohm = 3e3;
   sc.receiver_load_f = 0.5e-15;
@@ -635,13 +640,13 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
     loads.push_back({l, l, 1.0 / sc.driver_ohm, 0.0});
     loads.push_back({16 + l, 16 + l, 0.0, sc.receiver_load_f});
   }
-  const rom::ReducedModel term = bus.model().terminated(loads);
+  const rom::ReducedModel term = bus.model_at({}).terminated(loads);
   std::vector<cir::Waveform> waves(32, cir::DcWave{0.0});
   cir::PulseWave edge = cir::bus_edge_wave(sc.vdd_v, sc.edge_time_s);
   edge.v2 /= sc.driver_ohm;
   const int aggressor = 8;  // centre line of the default config
   waves[aggressor] = edge;
-  const double t_stop = bus.window_s(sc);
+  const double t_stop = bus.window_s({}, sc);
   const auto ref = per_step_lu_reference(term, waves, t_stop, t_stop / 600);
   expect_transients_match(term.simulate(waves, t_stop, t_stop / 600), ref,
                           1e-11);
@@ -649,7 +654,7 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
   // evaluate() simulates a model sliced to the aggressor input and the
   // far-end outputs; its KPIs must match the same measurement on the
   // full-port reference.
-  const auto got = bus.evaluate(sc, 600);
+  const auto got = bus.evaluate({}, sc, 600);
   double peak = 0.0;
   double peak_time = 0.0;
   int victim = -1;
@@ -678,11 +683,17 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
       per_step_lu_reference(term, waves, t_stop, t_stop / 600), 1e-11);
 }
 
-// --- ROM as a preconditioner for full-system Krylov solves ---------------
+// --- Projection basis retention --------------------------------------------
 
-TEST(RomPrecond, BasisIsRetainedAndSurvivesTermination) {
-  const rom::BusRom bus(paper_bus(4, 12));
-  const rom::ReducedModel& m = bus.model();
+TEST(Prima, BasisIsRetainedAndSurvivesTermination) {
+  const cir::BusTopology topology = paper_bus(4, 12).topology();
+  rom::PrimaOptions opt;
+  opt.order = 24;
+  opt.expansion_rad_per_s =
+      20.0 / cir::bus_settle_time_s(topology, cir::BusDrive{});
+  opt.keep_basis = true;
+  const rom::ReducedModel m = rom::prima_reduce(
+      rom::bare_bus_ports(rom::extract_bus_state_space(topology)), opt);
   ASSERT_TRUE(m.has_basis());
   EXPECT_EQ(static_cast<int>(m.basis().size()), m.order());
   for (const auto& col : m.basis()) {
@@ -694,78 +705,94 @@ TEST(RomPrecond, BasisIsRetainedAndSurvivesTermination) {
   EXPECT_TRUE(term.has_basis());
   EXPECT_EQ(term.basis().size(), m.basis().size());
 
-  // Without keep_basis (the prima_reduce default) nothing is stored and
-  // the preconditioner constructor rejects the empty basis.
+  // Without keep_basis (the prima_reduce default) nothing is stored.
   cir::NodeId out = 0;
   cir::Circuit ckt = rc_lowpass(&out);
   const rom::ReducedModel plain =
       rom::prima_reduce(rom::extract_state_space(ckt), {.order = 2});
   EXPECT_FALSE(plain.has_basis());
-  cnti::numerics::SparseBuilder b(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) b.add(i, i, 1.0);
-  EXPECT_THROW(rom::RomPreconditioner(b.build(), plain.basis()),
-               cnti::PreconditionError);
 }
 
-TEST(RomPrecond, FullSystemSolvesMatchSparseLu) {
-  // full_system() must assemble the same terminated network evaluate()
-  // folds into the reduced matrices; its LU solution is the oracle for
-  // every iterative variant below.
-  const rom::BusRom bus(paper_bus(8, 32));
-  const rom::BusScenario sc;
-  const auto sys = bus.full_system(sc, bus.nominal_shift_rad_per_s());
-  ASSERT_EQ(static_cast<int>(sys.a.rows()), bus.full_order());
+// --- Per-drive reduction of the terminated bus ---------------------------
 
-  cnti::numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
+TEST(DrivenBus, TerminationMatchesStampedNetlist) {
+  // terminate_bus adds the drive to the bare G/C directly; the same drive
+  // stamped as circuit elements before extraction must give the same
+  // matrices and pattern, with and without a receiver load (a zero load
+  // stamps no far-end capacitor).
+  const cir::BusTopology topology = paper_bus(4, 8).topology();
+  const rom::BusStateSpace bare = rom::extract_bus_state_space(topology);
+  for (const double load : {0.0, 0.7e-15}) {
+    SCOPED_TRACE(load);
+    cir::BusDrive drive;
+    drive.aggressor = 0;
+    drive.driver_ohm = 3e3;
+    drive.receiver_load_f = load;
+    const rom::StateSpace got = rom::terminate_bus(bare, drive);
 
-  cnti::numerics::IterativeOptions opt;
-  opt.max_iterations = 20000;
-  opt.tolerance = 1e-12;
-  const auto pre = bus.preconditioner(sys.a);
-  const auto bicg =
-      cnti::numerics::bicgstab(sys.a, sys.rhs, opt, {}, pre.fn());
-  ASSERT_TRUE(bicg.converged);
-  const auto gm = cnti::numerics::gmres(sys.a, sys.rhs, opt, {}, pre.fn());
-  ASSERT_TRUE(gm.converged);
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    EXPECT_NEAR(bicg.x[i], x_lu[i], 1e-8);
-    EXPECT_NEAR(gm.x[i], x_lu[i], 1e-8);
+    cir::BusNetlist bus = cir::build_bus_netlist(topology);
+    for (int l = 0; l < topology.lines; ++l) {
+      const auto ul = static_cast<std::size_t>(l);
+      bus.ckt.add_resistor("rdrv" + std::to_string(l), bus.head[ul], 0,
+                           drive.driver_ohm);
+      if (load > 0) {
+        bus.ckt.add_capacitor("cl" + std::to_string(l), bus.far[ul], 0, load);
+      }
+    }
+    rom::StateSpaceOptions opt;
+    opt.include_sources = false;
+    opt.ports = {{"head0", bus.head[0]}};
+    const rom::StateSpace ref = rom::extract_state_space(bus.ckt, opt);
+
+    ASSERT_EQ(got.size, ref.size);
+    EXPECT_EQ(got.g.nnz(), ref.g.nnz());
+    EXPECT_EQ(got.c.nnz(), ref.c.nnz());
+    for (std::size_t r = 0; r < static_cast<std::size_t>(ref.size); ++r) {
+      for (std::size_t c = 0; c < static_cast<std::size_t>(ref.size); ++c) {
+        EXPECT_NEAR(got.g.at(r, c), ref.g.at(r, c),
+                    1e-14 * std::abs(ref.g.at(r, c)));
+        EXPECT_NEAR(got.c.at(r, c), ref.c.at(r, c),
+                    1e-14 * std::abs(ref.c.at(r, c)));
+      }
+    }
+    EXPECT_EQ(got.inputs(), 1);
+    EXPECT_EQ(got.outputs(), topology.lines);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(ref.size); ++r) {
+      EXPECT_EQ(got.b(r, 0), ref.b(r, 0));
+    }
+    for (std::size_t l = 0; l < bus.far.size(); ++l) {
+      EXPECT_EQ(got.l(static_cast<std::size_t>(bus.far[l] - 1), l), 1.0);
+    }
   }
 }
 
-TEST(RomPrecond, RomPreconditionedBicgstabBeatsJacobiOnPaperBus) {
-  // The acceptance benchmark of the iterative path: on the 16 x 128 paper
-  // bus (2096 unknowns) the two-level ROM preconditioner must converge at
-  // least 5x faster than plain Jacobi at 1e-10 relative residual while
-  // matching the sparse LU solution to 1e-8. (Empirically Jacobi stalls
-  // near 1e-7 without converging at all; the 5x bound holds either way.)
-  const rom::BusRom bus(paper_bus(16, 128));
-  const rom::BusScenario sc;
-  const auto sys = bus.full_system(sc, bus.nominal_shift_rad_per_s());
-
-  cnti::numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
-
-  cnti::numerics::IterativeOptions opt;
-  opt.max_iterations = 20000;
-  opt.tolerance = 1e-10;
-  const auto jac = cnti::numerics::bicgstab(sys.a, sys.rhs, opt);
-  const auto pre = bus.preconditioner(sys.a);
-  const auto romit =
-      cnti::numerics::bicgstab(sys.a, sys.rhs, opt, {}, pre.fn());
-
-  ASSERT_TRUE(romit.converged);
-  EXPECT_GT(romit.iterations, 0u);
-  const std::size_t jacobi_cost =
-      jac.converged ? jac.iterations : opt.max_iterations;
-  EXPECT_GE(jacobi_cost, 5 * romit.iterations)
-      << "jacobi: " << jac.iterations << " (converged=" << jac.converged
-      << "), rom: " << romit.iterations;
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    EXPECT_NEAR(romit.x[i], x_lu[i], 1e-8);
+TEST(DrivenBus, PerDriveRomMatchesFullMnaAcrossDrives) {
+  // The scenario engine's reduced-order noise path: 12 Krylov vectors of
+  // the terminated one-input bus, expanded at the drive's own settle-time
+  // corner, vs the full sparse-MNA transient over strong and weak drivers,
+  // no load and a heavy one, an edge and the centre aggressor.
+  const cir::BusConfig cfg = paper_bus(16, 64);
+  const rom::BusStateSpace bare = rom::extract_bus_state_space(cfg.topology());
+  for (const double ohm : {200.0, 100e3}) {
+    for (const double load : {0.0, 5e-15}) {
+      for (const int aggressor : {0, 8}) {
+        SCOPED_TRACE(testing::Message() << ohm << " Ohm, " << load
+                                        << " F, aggressor " << aggressor);
+        cir::BusDrive drive;
+        drive.aggressor = aggressor;
+        drive.driver_ohm = ohm;
+        drive.receiver_load_f = load;
+        EXPECT_EQ(rom::reduce_driven_bus(bare, drive).order(), 12);
+        const auto red = rom::evaluate_bus_drive(bare, drive, 600);
+        const auto full = cir::analyze_bus_crosstalk(
+            cir::make_bus_config(cfg.topology(), drive), 600);
+        EXPECT_EQ(red.worst_victim, full.worst_victim);
+        EXPECT_NEAR(red.peak_noise_v, full.peak_noise_v,
+                    1e-4 * std::abs(full.peak_noise_v));
+        EXPECT_NEAR(red.aggressor_delay_s, full.aggressor_delay_s,
+                    1e-4 * full.aggressor_delay_s);
+      }
+    }
   }
 }
 
@@ -773,22 +800,37 @@ TEST(RomPrecond, RomPreconditionedBicgstabBeatsJacobiOnPaperBus) {
 
 TEST(ParamRom, DegenerateBoxIsBitwiseBusRom) {
   // A fully collapsed box (lo == hi == nominal) has a single corner, keeps
-  // that corner's PRIMA basis verbatim and must reproduce the plain
-  // topology-keyed BusRom bit for bit — window, transient and all.
+  // that corner's PRIMA basis verbatim and must reproduce a plain bare
+  // bus reduction (6 * lines vectors at the default drive's settle-time
+  // corner, the drive folded in afterwards) bit for bit — window,
+  // transient and all.
   const cir::BusConfig cfg = paper_bus(4, 8);
   const rom::ParametrizedBusRom prom(cfg.topology(), rom::BusTechBox{});
-  const rom::BusRom bus(cfg.topology());
+  const rom::StateSpace ss =
+      rom::bare_bus_ports(rom::extract_bus_state_space(cfg.topology()));
+  rom::PrimaOptions opt;
+  opt.order = std::min(6 * cfg.lines, ss.size / 2);
+  opt.expansion_rad_per_s =
+      20.0 / cir::bus_settle_time_s(cfg.topology(), cir::BusDrive{});
+  const rom::ReducedModel bare = rom::prima_reduce(ss, opt);
   EXPECT_EQ(prom.corners(), 1);
-  EXPECT_EQ(prom.order(), bus.order());
-  EXPECT_EQ(prom.full_order(), bus.full_order());
+  EXPECT_EQ(prom.order(), bare.order());
+  EXPECT_EQ(prom.full_order(), bare.full_order());
 
   rom::BusScenario sc;
   sc.driver_ohm = 2e3;
   sc.receiver_load_f = 0.5e-15;
+  cir::BusDrive drive;
+  drive.driver_ohm = sc.driver_ohm;
+  drive.receiver_load_f = sc.receiver_load_f;
+  const double window = cir::bus_settle_time_s(cfg.topology(), drive);
   const rom::BusTechPoint nominal;
-  EXPECT_EQ(prom.window_s(nominal, sc), bus.window_s(sc));
+  EXPECT_EQ(prom.window_s(nominal, sc), window);
+  const int aggressor = cfg.lines / 2;
   const auto a = prom.evaluate(nominal, sc, 300);
-  const auto b = bus.evaluate(sc, 300);
+  const auto b = rom::evaluate_driven_bus(
+      rom::terminate_bare_bus(bare, cfg.lines, aggressor, sc), aggressor, sc,
+      window, 300);
   EXPECT_EQ(a.peak_noise_v, b.peak_noise_v);
   EXPECT_EQ(a.peak_time_s, b.peak_time_s);
   EXPECT_EQ(a.worst_victim, b.worst_victim);

@@ -1,9 +1,9 @@
 // Scenario engine suite: content-key identity, memo-cache contracts
 // (hit/miss accounting, once-per-key compute, type safety), cached ==
 // uncached differentials against the refactored direct APIs
-// (run_multiscale_flow, analyze_bus_crosstalk, BusRom), thread-count
-// invariance of batch execution, MultiscaleHooks-fallback parity, report
-// emission and the relocated JSON metric sink.
+// (run_multiscale_flow, analyze_bus_crosstalk, evaluate_bus_drive),
+// thread-count invariance of batch execution, MultiscaleHooks-fallback
+// parity, report emission and the relocated JSON metric sink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "common/json_sink.hpp"
 #include "common/units.hpp"
 #include "core/multiscale.hpp"
+#include "obs/obs.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "scenario/content_key.hpp"
 #include "scenario/engine.hpp"
@@ -320,27 +321,40 @@ TEST(ScenarioEngine, RomNoiseMatchesDirectBusRomBitwise) {
   const sc::ScenarioResult r = engine.run(s);
   ASSERT_TRUE(r.noise.has_value());
 
-  // Direct API: same topology-keyed reduction, same scenario fold.
+  // Direct API: the same bare system, reduced for the same drive.
   const cc::MultiscaleInput in = sc::to_multiscale_input(s);
   const cc::ChannelStage channels =
       cc::doping_channel_stage(s.tech.dopant, s.tech.dopant_concentration);
   const cc::MwcntLine line(cc::multiscale_line_spec(
       in, channels, cc::environment_capacitance(s.tech.environment)));
-  const cnti::rom::BusRom rom(sc::to_bus_topology(s, line));
-  const cir::BusDrive drive = sc::to_bus_drive(s);
-  cnti::rom::BusScenario scn;
-  scn.driver_ohm = drive.driver_ohm;
-  scn.receiver_load_f = drive.receiver_load_f;
-  scn.vdd_v = drive.vdd_v;
-  scn.edge_time_s = drive.edge_time_s;
-  const cir::BusCrosstalkResult direct =
-      rom.evaluate(scn, s.analysis.time_steps);
+  const cir::BusCrosstalkResult direct = cnti::rom::evaluate_bus_drive(
+      cnti::rom::extract_bus_state_space(sc::to_bus_topology(s, line)),
+      sc::to_bus_drive(s), s.analysis.time_steps);
+  EXPECT_EQ(direct.unknowns, cnti::rom::kDrivenBusOrder);
 
   EXPECT_EQ(r.noise->peak_noise_v, direct.peak_noise_v);
   EXPECT_EQ(r.noise->peak_time_s, direct.peak_time_s);
   EXPECT_EQ(r.noise->worst_victim, direct.worst_victim);
   EXPECT_EQ(r.noise->aggressor_delay_s, direct.aggressor_delay_s);
   EXPECT_EQ(r.noise->unknowns, direct.unknowns);
+}
+
+TEST(ScenarioEngine, RomNoiseWithoutReceiverLoadRuns) {
+  // A zero load stamps nothing into the terminated bus; the per-drive
+  // reduction still evaluates and tracks the full-MNA transient.
+  sc::Scenario s = small_scenario();
+  s.analysis.noise = true;
+  s.workload.load_capacitance_ff = 0.0;
+  const sc::ScenarioEngine engine;
+  const sc::ScenarioResult r = engine.run(s);
+  ASSERT_TRUE(r.noise.has_value());
+  s.analysis.noise_model = sc::NoiseModel::kFullMna;
+  const sc::ScenarioResult full = engine.run(s);
+  EXPECT_EQ(r.noise->worst_victim, full.noise->worst_victim);
+  EXPECT_NEAR(r.noise->peak_noise_v, full.noise->peak_noise_v,
+              1e-4 * std::abs(full.noise->peak_noise_v));
+  EXPECT_NEAR(r.noise->aggressor_delay_s, full.noise->aggressor_delay_s,
+              1e-4 * full.noise->aggressor_delay_s);
 }
 
 TEST(ScenarioEngine, FullMnaNoiseMatchesAnalyzeBusCrosstalkBitwise) {
@@ -502,14 +516,19 @@ void expect_same_results(const std::vector<sc::ScenarioResult>& a,
 TEST(ScenarioEngine, BatchSharesTopologyArtifactsAcrossScenarios) {
   const auto batch = mixed_batch();  // 2 dopings x 3 drivers x 2 loads = 12
   const sc::ScenarioEngine engine;
+  const cnti::obs::Counter reductions =
+      cnti::obs::counter("cnti.rom.reductions");
+  const std::uint64_t reductions_before = reductions.value();
   const auto results = engine.run_batch(batch);
   ASSERT_EQ(results.size(), batch.size());
 
   // Two dopings -> two line models -> two topologies; every scenario of a
-  // topology shares one PRIMA reduction regardless of driver/load.
-  const auto rom = engine.cache().stats(sc::stage::kBusRom);
-  EXPECT_EQ(rom.misses, 2u);
-  EXPECT_EQ(rom.hits, 10u);
+  // topology shares one bare descriptor system regardless of driver/load,
+  // and each drive reduces its own terminated bus.
+  const auto bare = engine.cache().stats(sc::stage::kBusSystem);
+  EXPECT_EQ(bare.misses, 2u);
+  EXPECT_EQ(bare.hits, 10u);
+  EXPECT_EQ(reductions.value() - reductions_before, 12u);
   const auto atom = engine.cache().stats(sc::stage::kAtomistic);
   EXPECT_EQ(atom.misses, 2u);
   EXPECT_EQ(atom.hits, 10u);

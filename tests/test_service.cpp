@@ -576,15 +576,15 @@ TEST(EngineTier, WarmRestartRecomputesNothingAndMatchesBitwise) {
     expect_bit_identical(warm[i], cold[i]);
   }
   // Zero recomputes anywhere — and the heavyweight memory-only stages
-  // (ROM reduction, netlist build) were never even entered.
+  // (bare-bus extraction, netlist build) were never even entered.
   std::uint64_t disk_hits = 0;
   for (const auto& [stage, st] : warm_engine.cache().all_stats()) {
     EXPECT_EQ(st.misses, 0u) << "stage " << stage << " recomputed";
     disk_hits += st.disk_hits;
   }
   EXPECT_GT(disk_hits, 0u);
-  EXPECT_EQ(warm_engine.cache().stats(sc::stage::kBusRom).misses, 0u);
-  EXPECT_EQ(warm_engine.cache().stats(sc::stage::kBusRom).hits, 0u);
+  EXPECT_EQ(warm_engine.cache().stats(sc::stage::kBusSystem).misses, 0u);
+  EXPECT_EQ(warm_engine.cache().stats(sc::stage::kBusSystem).hits, 0u);
 }
 
 TEST(EngineTier, CorruptedEntrySelfHealsWithIdenticalResults) {
