@@ -5,21 +5,36 @@
 // ParametrizedBusRom) + evaluate per point (ROM) vs a full transient per
 // point (MNA) — and differentially checks the
 // reduced-model 50% delay and far-end noise peak on every point.
-// Acceptance floor: >= 20x sweep speedup with <= 1% worst-case error.
+// Acceptance: <= 1% worst-case error (a failed check exits non-zero); the
+// >= 20x sweep speedup is printed, not gated.
+//
+// A second table is the reduction ladder behind PRIMA's factor choice:
+// on the terminated 16x64, 16x128, 32x640 and 64x1024 bus pencils it
+// times the scalar sparse LU and the banded Cholesky factor (fresh
+// factorization, as in one reduction) and 12 solves each, and checks the
+// band solves' backward error. rom::kBandMaxHalfWidth is set from it.
 //
 // Metrics land in BENCH_bench_rom_scaling.json when CNTI_BENCH_JSON is
 // set (see bench_common.hpp), which is where the perf trajectory tracking
 // starts.
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/crosstalk.hpp"
 #include "core/mwcnt_line.hpp"
 #include "core/sweep_engine.hpp"
+#include "numerics/band_cholesky.hpp"
+#include "numerics/rng.hpp"
+#include "numerics/sparse_lu.hpp"
+#include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
+#include "rom/prima.hpp"
 
 namespace {
 
@@ -54,13 +69,157 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Interleaved min-of-`reps` wall time of each callable: rounds alternate
+/// between them, so machine noise lands on both and the minimum is the
+/// quiet-machine estimate.
+template <typename A, typename B>
+std::pair<double, double> min_interleaved(int reps, A&& a, B&& b) {
+  double best_a = 1e300, best_b = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    a();
+    best_a = std::min(best_a, seconds_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    b();
+    best_b = std::min(best_b, seconds_since(t0));
+  }
+  return {best_a, best_b};
+}
+
+/// Reduction ladder: one PRIMA factorization + 12 Krylov solves of the
+/// terminated bus pencil K = G + s0 C, scalar sparse LU vs banded Cholesky.
+void print_reduction_ladder() {
+  struct Rung {
+    int lines, segments, reps;
+  };
+  constexpr int kSolves = 12;
+  Table t({"bus", "n", "half-bw", "LU factor [ms]", "band factor [ms]",
+           "band / LU", "12 solves LU / band [ms]", "nnz(L+U)",
+           "band entries", "band vs LU", "band backward err"});
+  bool band_wins_everywhere = true;
+  for (const Rung r : {Rung{16, 64, 20}, Rung{16, 128, 10},
+                       Rung{32, 640, 3}, Rung{64, 1024, 2}}) {
+    circuit::BusConfig cfg = paper_bus();
+    cfg.lines = r.lines;
+    cfg.segments = r.segments;
+    const circuit::BusDrive drive = cfg.drive();
+    const rom::StateSpace ss = rom::terminate_bus(
+        rom::extract_bus_state_space(cfg.topology()), drive);
+    const double s0 =
+        20.0 / circuit::bus_settle_time_s(cfg.topology(), drive);
+    numerics::SparseBuilder kb(ss.g.rows(), ss.g.cols());
+    for (const auto& [m, scale] :
+         {std::pair{&ss.g, 1.0}, std::pair{&ss.c, s0}}) {
+      for (std::size_t row = 0; row < m->rows(); ++row) {
+        for (std::size_t k = m->row_ptr()[row]; k < m->row_ptr()[row + 1];
+             ++k) {
+          kb.add(row, m->col_indices()[k], scale * m->values()[k]);
+        }
+      }
+    }
+    const numerics::SparseMatrix pencil = kb.build();
+
+    // PRIMA builds a fresh factor per reduction, so each round does too.
+    numerics::SparseLu lu;
+    numerics::BandCholesky band;
+    const auto [t_lu, t_band] = min_interleaved(
+        r.reps,
+        [&] {
+          lu = numerics::SparseLu();
+          lu.set_factor_mode(numerics::FactorMode::kScalar);
+          lu.factorize(pencil);
+        },
+        [&] {
+          band = numerics::BandCholesky();
+          bench::check(band.factorize(ss.g, ss.c, s0, pencil.rows()),
+                       "band factor declined a symmetric bus pencil");
+        });
+    numerics::Rng rng(1);
+    std::vector<std::vector<double>> rhs(kSolves,
+                                         std::vector<double>(pencil.rows()));
+    for (auto& v : rhs) {
+      for (double& x : v) x = rng.uniform(-1.0, 1.0);
+    }
+    // The two solutions differ by the pencil's conditioning times the
+    // rounding of each factor; the band factor's own accuracy is its
+    // backward error |K x - b| / (|K| |x| + |b|) (infinity norms).
+    double k_norm = 0.0;
+    for (std::size_t row = 0; row < pencil.rows(); ++row) {
+      double sum = 0.0;
+      for (std::size_t k = pencil.row_ptr()[row];
+           k < pencil.row_ptr()[row + 1]; ++k) {
+        sum += std::abs(pencil.values()[k]);
+      }
+      k_norm = std::max(k_norm, sum);
+    }
+    const auto inf_norm = [](const std::vector<double>& v) {
+      double m = 0.0;
+      for (const double x : v) m = std::max(m, std::abs(x));
+      return m;
+    };
+    double max_rel = 0.0, backward = 0.0;
+    for (const auto& v : rhs) {
+      const auto x_lu = lu.solve(v);
+      const auto x_band = band.solve(v);
+      double diff = 0.0;
+      for (std::size_t i = 0; i < x_lu.size(); ++i) {
+        diff = std::max(diff, std::abs(x_band[i] - x_lu[i]));
+      }
+      max_rel = std::max(max_rel, diff / inf_norm(x_lu));
+      std::vector<double> residual = pencil * x_band;
+      for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= v[i];
+      backward = std::max(backward, inf_norm(residual) /
+                                        (k_norm * inf_norm(x_band) +
+                                         inf_norm(v)));
+    }
+    const auto [s_lu, s_band] = min_interleaved(
+        r.reps,
+        [&] {
+          for (const auto& v : rhs) benchmark::DoNotOptimize(lu.solve(v));
+        },
+        [&] {
+          for (const auto& v : rhs) benchmark::DoNotOptimize(band.solve(v));
+        });
+    const std::size_t n = pencil.rows();
+    const std::size_t w = band.half_bandwidth();
+    const std::string tag =
+        std::to_string(r.lines) + "x" + std::to_string(r.segments);
+    t.add_row({std::to_string(r.lines) + " x " + std::to_string(r.segments),
+               std::to_string(n), std::to_string(w),
+               Table::num(1e3 * t_lu, 4), Table::num(1e3 * t_band, 4),
+               Table::num(t_band / t_lu, 3),
+               Table::num(1e3 * s_lu, 3) + " / " + Table::num(1e3 * s_band, 3),
+               std::to_string(lu.nnz_l() + lu.nnz_u()),
+               std::to_string(n * (w + 1)), Table::num(max_rel, 3),
+               Table::num(backward, 3)});
+    if (w <= rom::kBandMaxHalfWidth && t_band >= t_lu) {
+      band_wins_everywhere = false;
+    }
+    bench::check(backward <= 1e-14,
+                 "band solve backward error above 1e-14 on " + tag);
+    bench::json().set("lu_factor_ms_" + tag, 1e3 * t_lu);
+    bench::json().set("band_factor_ms_" + tag, 1e3 * t_band);
+    bench::json().set("lu_solves_ms_" + tag, 1e3 * s_lu);
+    bench::json().set("band_solves_ms_" + tag, 1e3 * s_band);
+  }
+  std::cout << "\nReduction ladder (one factorization + " << kSolves
+            << " solves of the terminated bus pencil, min of interleaved "
+               "rounds):\n";
+  t.print(std::cout);
+  std::cout << "PRIMA's band bound kBandMaxHalfWidth = "
+            << rom::kBandMaxHalfWidth << ": the band factor "
+            << (band_wins_everywhere ? "beats" : "does NOT beat")
+            << " the sparse LU on every rung up to that width\n";
+}
+
 void print_reproduction() {
   bench::print_header(
       "PRIMA ROM vs full sparse-MNA on the 16 x 128 coupled bus",
       "100-point driver x load scenario sweep over the 2098-unknown bus: "
       "full transient per point (sparse MNA) vs reduce-once + small dense "
       "evaluation per point (PRIMA). Every point is differentially checked "
-      "(50% delay, far-end noise peak). Acceptance: >= 20x, <= 1% error.");
+      "(50% delay, far-end noise peak). Acceptance: <= 1% error; the "
+      ">= 20x speedup is reported, not gated.");
   bench::json().set_name("bench_rom_scaling");
 
   const circuit::BusConfig cfg = paper_bus();
@@ -125,10 +284,11 @@ void print_reproduction() {
   std::cout << "\nReduce once: " << Table::num(t_reduce, 4)
             << " s (order " << bus.order() << " of " << bus.full_order()
             << "); sweep speedup " << Table::num(speedup, 4) << "x ("
-            << (speedup >= 20.0 ? "PASS" : "FAIL") << " >= 20x), errors "
-            << (max_noise_err <= 0.01 && max_delay_err <= 0.01 ? "PASS"
-                                                               : "FAIL")
-            << " <= 1%\n";
+            << (speedup >= 20.0 ? "above" : "below") << " 20x)\n";
+  bench::check(max_noise_err <= 0.01,
+               "ROM far-end noise peak off full MNA by more than 1%");
+  bench::check(max_delay_err <= 0.01,
+               "ROM 50% delay off full MNA by more than 1%");
 
   bench::json().set("sweep_points", static_cast<double>(grid.size()));
   bench::json().set("full_unknowns", full_unknowns);
@@ -139,6 +299,8 @@ void print_reproduction() {
   bench::json().set("speedup", speedup);
   bench::json().set("max_noise_err_pct", 100.0 * max_noise_err);
   bench::json().set("max_delay_err_pct", 100.0 * max_delay_err);
+
+  print_reduction_ladder();
 }
 
 void BM_PrimaReduceBus(benchmark::State& state) {

@@ -1,0 +1,160 @@
+// Banded Cholesky factor of a symmetric positive-definite pencil
+// K = G + s C, filled straight from the sorted CSR rows of G and C. The
+// terminated RC bus has no branch rows, so its pencil is exactly symmetric
+// and, in the extracted segment-major order, its half-bandwidth w is the
+// line count: K = L L^T then costs n w^2 / 2 multiply-adds with no
+// symbolic analysis, no pivot search and no fill outside the band. There
+// is no pivoting, so the factor is deterministic; a non-positive pivot
+// (K not positive definite) throws NumericalError.
+//
+// Structure decides the path: factorize() declines (returns false) when K
+// is not exactly symmetric or is wider than the caller's bound, and the
+// caller then uses the general SparseLu. The factor reports into the same
+// cnti.solver.* counters, histograms and nnz gauge as SparseLu, so per-layer
+// accounting sees the work whichever factor ran.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <vector>
+
+#include "common/error.hpp"
+#include "numerics/sparse.hpp"
+#include "obs/obs.hpp"
+
+namespace cnti::numerics {
+
+class BandCholesky {
+ public:
+  /// Factors K = G + s C (C is not read when s == 0). Returns false and
+  /// leaves the object unfactored when K is not exactly symmetric or its
+  /// half-bandwidth exceeds `max_half_bandwidth`. Throws NumericalError on
+  /// a non-positive pivot; solve() refuses to run afterwards.
+  [[nodiscard]] bool factorize(const SparseMatrix& g, const SparseMatrix& c,
+                               double s, std::size_t max_half_bandwidth) {
+    CNTI_EXPECTS(g.rows() == g.cols() && g.rows() > 0,
+                 "BandCholesky needs a non-empty square matrix");
+    CNTI_EXPECTS(s == 0.0 || (c.rows() == g.rows() && c.cols() == g.cols()),
+                 "BandCholesky: pencil size mismatch");
+    factored_ = false;
+    const std::size_t w = std::max(half_bandwidth_of(g),
+                                   s == 0.0 ? 0 : half_bandwidth_of(c));
+    if (w > max_half_bandwidth) return false;
+
+    static const obs::Counter fulls =
+        obs::counter("cnti.solver.factorizations");
+    static const obs::Gauge nnz_gauge = obs::gauge("cnti.solver.nnz_lu");
+    static const obs::Histogram factor_hist =
+        obs::histogram("cnti.solver.factor_ns");
+    const obs::ObsSpan span("band_cholesky.factorize", "solver", factor_hist);
+    n_ = g.rows();
+    w_ = w;
+    const std::size_t ld = w + 1;
+    // Row i of l_ holds K(i, i-w .. i) at [i * ld + (col - i + w)]. Upper
+    // entries land transposed in `mirror`, so exact symmetry is one
+    // element-wise compare of the strictly lower slots.
+    l_.assign(n_ * ld, 0.0);
+    std::vector<double> mirror(n_ * ld, 0.0);
+    const auto scatter = [&](const SparseMatrix& a, double scale) {
+      for (std::size_t r = 0; r < n_; ++r) {
+        for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
+          const std::size_t col = a.col_indices()[t];
+          const double v = scale * a.values()[t];
+          if (col <= r) {
+            l_[r * ld + col + w - r] += v;
+          } else {
+            mirror[col * ld + r + w - col] += v;
+          }
+        }
+      }
+    };
+    scatter(g, 1.0);
+    if (s != 0.0) scatter(c, s);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t k = 0; k < w; ++k) {
+        if (l_[i * ld + k] != mirror[i * ld + k]) return false;
+      }
+    }
+
+    for (std::size_t i = 0; i < n_; ++i) {
+      double* li = &l_[i * ld];
+      const std::size_t j0 = i > w ? i - w : 0;
+      for (std::size_t j = j0; j < i; ++j) {
+        const double* lj = &l_[j * ld];
+        double sum = li[j + w - i];
+        for (std::size_t k = j0; k < j; ++k) {
+          sum -= li[k + w - i] * lj[k + w - j];
+        }
+        li[j + w - i] = sum / lj[w];
+      }
+      double d = li[w];
+      for (std::size_t k = j0; k < i; ++k) d -= li[k + w - i] * li[k + w - i];
+      if (!(d > 0.0)) {
+        throw NumericalError(
+            "BandCholesky: matrix is not positive definite (pivot <= 0)");
+      }
+      li[w] = std::sqrt(d);
+    }
+    factored_ = true;
+    fulls.add();
+    nnz_gauge.set(static_cast<double>(n_ * ld));
+    return true;
+  }
+
+  std::size_t size() const { return n_; }
+  /// Half-bandwidth w of the factored pencil (L keeps n (w + 1) entries).
+  std::size_t half_bandwidth() const { return w_; }
+
+  /// Solves K x = b with the current factor: L y = b, then L^T x = y.
+  std::vector<double> solve(const std::vector<double>& b) const {
+    CNTI_EXPECTS(factored_, "BandCholesky: factorize before solve");
+    CNTI_EXPECTS(b.size() == n_, "BandCholesky: rhs size mismatch");
+    static const obs::Counter solves = obs::counter("cnti.solver.solves");
+    static const obs::Histogram solve_hist =
+        obs::histogram("cnti.solver.solve_ns");
+    solves.add();
+    const obs::ObsSpan span("band_cholesky.solve", "solver", solve_hist);
+    const std::size_t w = w_;
+    const std::size_t ld = w + 1;
+    std::vector<double> x(b);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double* li = &l_[i * ld];
+      double sum = x[i];
+      for (std::size_t k = i > w ? i - w : 0; k < i; ++k) {
+        sum -= li[k + w - i] * x[k];
+      }
+      x[i] = sum / li[w];
+    }
+    // L^T x = y by columns of L^T (rows of L), so every update is a
+    // contiguous row read.
+    for (std::size_t i = n_; i-- > 0;) {
+      const double* li = &l_[i * ld];
+      const double xi = x[i] / li[w];
+      x[i] = xi;
+      for (std::size_t k = i > w ? i - w : 0; k < i; ++k) {
+        x[k] -= li[k + w - i] * xi;
+      }
+    }
+    return x;
+  }
+
+ private:
+  static std::size_t half_bandwidth_of(const SparseMatrix& a) {
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
+        const std::size_t col = a.col_indices()[t];
+        w = std::max(w, col > r ? col - r : r - col);
+      }
+    }
+    return w;
+  }
+
+  std::size_t n_ = 0;
+  std::size_t w_ = 0;
+  bool factored_ = false;
+  std::vector<double> l_;
+};
+
+}  // namespace cnti::numerics

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "numerics/band_cholesky.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
 #include "obs/obs.hpp"
@@ -17,12 +18,13 @@ namespace {
 
 using detail::dot;
 using detail::norm2;
+using numerics::BandCholesky;
 using numerics::MatrixD;
 using numerics::SparseLu;
 using numerics::SparseMatrix;
 
-/// K = G + s0 C over the union pattern (built once; the factorization is
-/// reused for every Arnoldi solve), as a merge of the sorted G and C rows.
+/// K = G + s0 C over the union pattern, for the SparseLu path, as a merge
+/// of the sorted G and C rows.
 /// Each entry sums at most one term of each, so it is bitwise the value
 /// a triplet build of the two streams would sum.
 SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
@@ -134,9 +136,21 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   reductions.add();
   const obs::ObsSpan reduce_span("prima.reduce", "rom", reduce_hist);
 
+  // K is factored once and reused for every Arnoldi solve: as a band when
+  // it is exactly symmetric and narrow (RC networks), else by sparse LU
+  // (branch rows make K non-symmetric).
+  const double s0 = options.expansion_rad_per_s;
+  BandCholesky band;
   SparseLu lu;
-  lu.set_factor_mode(options.factor);
-  lu.factorize(shifted_pencil(ss.g, ss.c, options.expansion_rad_per_s));
+  const bool banded = band.factorize(ss.g, ss.c, s0, kBandMaxHalfWidth);
+  if (!banded) {
+    // One factorization and q solves never pay for supernodal panels.
+    lu.set_factor_mode(numerics::FactorMode::kScalar);
+    lu.factorize(shifted_pencil(ss.g, ss.c, s0));
+  }
+  const auto solve = [&](const std::vector<double>& rhs) {
+    return banded ? band.solve(rhs) : lu.solve(rhs);
+  };
 
   // Modified Gram-Schmidt with one reorthogonalization pass; returns false
   // (deflation) when the direction is linearly dependent on the basis.
@@ -173,7 +187,7 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
     for (std::size_t i = 0; i < n; ++i) {
       b_col[i] = ss.b(i, static_cast<std::size_t>(j));
     }
-    if (orthonormalize_into_basis(lu.solve(b_col))) {
+    if (orthonormalize_into_basis(solve(b_col))) {
       prev_block.push_back(basis.size() - 1);
     }
   }
@@ -185,7 +199,7 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
     for (const std::size_t idx : prev_block) {
       if (static_cast<int>(basis.size()) >= q_target) break;
       ss.c.multiply(basis[idx], cv);
-      if (orthonormalize_into_basis(lu.solve(cv))) {
+      if (orthonormalize_into_basis(solve(cv))) {
         next_block.push_back(basis.size() - 1);
       }
     }

@@ -1,7 +1,7 @@
 // PRIMA-style passive model-order reduction (Odabasioglu/Celik/Pileggi):
 // block Arnoldi on (G + s0 C)^{-1} C with modified Gram-Schmidt
-// orthonormalization, using the sparse engine's reusable LU for the
-// repeated system solves, followed by congruence projection
+// orthonormalization on one factorization of K = G + s0 C reused for every
+// Krylov solve, followed by congruence projection
 //
 //   Gr = V^T G V,  Cr = V^T C V,  Br = V^T B,  Lr = V^T L.
 //
@@ -13,7 +13,8 @@
 // driver/load/waveform scenarios against the q x q system.
 #pragma once
 
-#include "numerics/supernodal.hpp"
+#include <cstddef>
+
 #include "rom/reduced_model.hpp"
 #include "rom/state_space.hpp"
 
@@ -37,15 +38,19 @@ struct PrimaOptions {
   /// between full and reduced coordinates, e.g. merging corner bases in
   /// ParametrizedBusRom.
   bool keep_basis = false;
-  /// Numeric kernel for the Arnoldi LU. PRIMA factorizes G + s0 C exactly
-  /// once and then back-substitutes q times, so the supernodal kernel's
-  /// refactorization advantage never materializes here — scalar is the
-  /// right default; the knob exists for experiments on very large nets.
-  numerics::FactorMode factor = numerics::FactorMode::kScalar;
 };
 
+/// Widest half-bandwidth of K = G + s0 C that PRIMA factors as a banded
+/// SPD matrix. An exactly symmetric K (an RC network: no vsource or
+/// inductor branch rows) at most this wide goes to numerics::BandCholesky;
+/// anything else goes to numerics::SparseLu. The band factor beats the
+/// sparse LU on every bus ladder rung up to 64 lines (bench_rom_scaling's
+/// reduction ladder); the bound sits at the widest rung measured.
+inline constexpr std::size_t kBandMaxHalfWidth = 64;
+
 /// Runs block Arnoldi + congruence projection on an extracted descriptor
-/// system. Throws NumericalError when G + s0 C is singular and
+/// system. Throws NumericalError when G + s0 C is singular (or, on the
+/// band path, not positive definite) and
 /// PreconditionError on an empty input block or nonpositive order.
 ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options = {});
 

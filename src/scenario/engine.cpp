@@ -207,7 +207,10 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // numeric leaves from the scalar era are retired wholesale.
       // .v6: per-drive reduction of the terminated bus (12 vectors)
       // instead of folding the drive into a bare 2N-port reduction.
-      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v6",
+      // .v7 (2026-10-18): PRIMA factors the symmetric RC pencil with a
+      // banded Cholesky instead of sparse LU; last bits of the reduced
+      // models move.
+      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v7",
                                            topology.line);
       eval_key.add(topology.coupling_cap_per_m)
           .add(topology.length_m)

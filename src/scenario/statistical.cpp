@@ -300,7 +300,9 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // .v3: driven reduction; the key carries the driver and the load.
   // .v4: corners terminated by rom::terminate_bus instead of stamped
   // netlist elements; last bits of the driven corners move.
-  KeyHasher prom_key("stage.bus-prom.v4");
+  // .v5 (2026-10-18): corners reduce through the banded Cholesky factor
+  // of the RC pencil; last bits of the corner bases move.
+  KeyHasher prom_key("stage.bus-prom.v5");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

@@ -1,12 +1,16 @@
 // Unit tests for the numerics substrate: dense LU, sparse CG/BiCGSTAB,
-// tridiagonal, quadrature, roots, least squares, interpolation, statistics,
-// dense nonsymmetric eigenvalues.
+// sparse LU vs banded Cholesky on bus pencils, tridiagonal, quadrature,
+// roots, least squares, interpolation, statistics, dense nonsymmetric
+// eigenvalues.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
 
+#include "circuit/crosstalk.hpp"
+#include "core/mwcnt_line.hpp"
+#include "numerics/band_cholesky.hpp"
 #include "numerics/eig.hpp"
 #include "numerics/interp.hpp"
 #include "numerics/leastsq.hpp"
@@ -19,6 +23,7 @@
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
 #include "numerics/stats.hpp"
+#include "rom/interconnect_rom.hpp"
 
 namespace cn = cnti::numerics;
 
@@ -420,6 +425,101 @@ TEST(Ordering, InvalidPermutationIsRejected) {
   cn::SparseLu lu2;
   lu2.set_column_ordering({0, 1, 2});  // wrong length
   EXPECT_THROW(lu2.factorize(a), cnti::PreconditionError);
+}
+
+// --- Banded Cholesky ------------------------------------------------------
+
+/// G + s C as one explicit CSR matrix, for the SparseLu reference.
+cn::SparseMatrix pencil_sum(const cn::SparseMatrix& g,
+                            const cn::SparseMatrix& c, double s) {
+  cn::SparseBuilder k(g.rows(), g.cols());
+  for (const auto* m : {&g, &c}) {
+    const double scale = m == &g ? 1.0 : s;
+    for (std::size_t r = 0; r < m->rows(); ++r) {
+      for (std::size_t t = m->row_ptr()[r]; t < m->row_ptr()[r + 1]; ++t) {
+        k.add(r, m->col_indices()[t], scale * m->values()[t]);
+      }
+    }
+  }
+  return k.build();
+}
+
+TEST(BandCholesky, MatchesSparseLuOnBusPencils) {
+  // The terminated paper bus at its PRIMA expansion point: the 16 x 64 bus
+  // of the per-drive reductions and a 64-line bus at the width bound.
+  for (const auto& [lines, segments] :
+       {std::pair{16, 64}, std::pair{64, 16}}) {
+    SCOPED_TRACE(testing::Message() << lines << " x " << segments);
+    cnti::circuit::BusTopology topo;
+    topo.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+    topo.coupling_cap_per_m = 30e-12;
+    topo.length_m = 100e-6;
+    topo.lines = lines;
+    topo.segments = segments;
+    cnti::circuit::BusDrive drive;
+    drive.driver_ohm = 2e3;
+    drive.receiver_load_f = 0.5e-15;
+    const auto ss = cnti::rom::terminate_bus(
+        cnti::rom::extract_bus_state_space(topo), drive);
+    const double s0 = 20.0 / cnti::circuit::bus_settle_time_s(topo, drive);
+
+    cn::BandCholesky band;
+    ASSERT_TRUE(band.factorize(ss.g, ss.c, s0, 64));
+    EXPECT_EQ(band.half_bandwidth(), static_cast<std::size_t>(lines));
+    cn::SparseLu lu;
+    lu.factorize(pencil_sum(ss.g, ss.c, s0));
+
+    cn::Rng rng(7);
+    std::vector<double> rhs(band.size());
+    for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+    const auto x = band.solve(rhs);
+    const auto x_ref = lu.solve(rhs);
+    double scale = 0.0, err = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      scale = std::max(scale, std::abs(x_ref[i]));
+      err = std::max(err, std::abs(x[i] - x_ref[i]));
+    }
+    EXPECT_LE(err, 1e-11 * scale);
+  }
+}
+
+TEST(BandCholesky, NonPositiveDefinitePencilThrowsAndSolveRefuses) {
+  cn::SparseBuilder spd(2, 2), indefinite(2, 2);
+  spd.add(0, 0, 2.0);
+  spd.add(1, 1, 2.0);
+  spd.add(0, 1, 1.0);
+  spd.add(1, 0, 1.0);
+  indefinite.add(0, 0, 1.0);
+  indefinite.add(1, 1, 1.0);
+  indefinite.add(0, 1, 2.0);
+  indefinite.add(1, 0, 2.0);
+  const cn::SparseMatrix none;
+  cn::BandCholesky band;
+  ASSERT_TRUE(band.factorize(spd.build(), none, 0.0, 1));
+  EXPECT_NEAR(band.solve({3.0, 3.0})[0], 1.0, 1e-15);
+  // A failed factorization must not leave the previous factor usable.
+  EXPECT_THROW((void)band.factorize(indefinite.build(), none, 0.0, 1),
+               cnti::NumericalError);
+  EXPECT_THROW(band.solve({3.0, 3.0}), cnti::PreconditionError);
+}
+
+TEST(BandCholesky, DeclinesNonSymmetricAndTooWidePencils) {
+  const cn::SparseMatrix none;
+  cn::SparseBuilder skew(2, 2);
+  skew.add(0, 0, 2.0);
+  skew.add(1, 1, 2.0);
+  skew.add(0, 1, 1.0);
+  skew.add(1, 0, -1.0);
+  cn::BandCholesky band;
+  EXPECT_FALSE(band.factorize(skew.build(), none, 0.0, 1));
+  // Symmetric G plus a C whose scaled entries break the symmetry.
+  cn::SparseBuilder c_upper(2, 2);
+  c_upper.add(0, 1, 1.0);
+  const auto lap = laplacian_1d(6);
+  EXPECT_FALSE(band.factorize(laplacian_1d(2), c_upper.build(), 1e-3, 1));
+  EXPECT_FALSE(band.factorize(lap, none, 0.0, 0));
+  ASSERT_TRUE(band.factorize(lap, none, 0.0, 1));
+  EXPECT_THROW(band.solve({1.0}), cnti::PreconditionError);
 }
 
 TEST(Quadrature, AdaptiveSimpsonPolynomial) {

@@ -3,14 +3,18 @@
 // represent fully, differential cross-validation against ac_analysis
 // (frequency domain) and the sparse-MNA transient engine (time domain),
 // stability/passivity property tests (reduced poles in the left
-// half-plane), port-termination folding, and deterministic parallel
+// half-plane), the choice between the banded Cholesky and the sparse LU
+// for the Krylov solves, port-termination folding, and deterministic parallel
 // scenario sweeps over a shared reduced model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "circuit/ac.hpp"
 #include "circuit/builders.hpp"
@@ -23,12 +27,14 @@
 #include "numerics/solvers.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
 #include "rom/prima.hpp"
 
 namespace cir = cnti::circuit;
 namespace cc = cnti::core;
+namespace obs = cnti::obs;
 namespace rom = cnti::rom;
 
 namespace {
@@ -242,6 +248,77 @@ TEST(Prima, KrylovDeflationStopsAtFullOrder) {
   const auto freqs = cir::log_frequency_grid(1e6, 1e10, 5);
   const auto ref = cir::ac_analysis(ckt, "vin", out, freqs);
   EXPECT_LT(max_db_error(ref, rm.transfer_sweep(freqs, 0, 0), 1e10), 1e-9);
+}
+
+// --- Factor choice: banded Cholesky vs sparse LU --------------------------
+
+/// The cnti.solver.nnz_lu gauge after prima_reduce(ss) at DC, next to the
+/// entries a sparse LU of K = G holds, with the factorization count it took.
+struct FactorRecord {
+  double gauge_nnz = 0.0;
+  double lu_nnz = 0.0;
+  std::uint64_t factorizations = 0;
+};
+
+FactorRecord reduce_and_record_factor(const rom::StateSpace& ss) {
+  const obs::Counter factorizations =
+      obs::counter("cnti.solver.factorizations");
+  const std::uint64_t before = factorizations.value();
+  (void)rom::prima_reduce(ss, {.order = 4});
+  FactorRecord rec;
+  rec.factorizations = factorizations.value() - before;
+  rec.gauge_nnz = obs::gauge("cnti.solver.nnz_lu").value();
+  cnti::numerics::SparseLu lu;
+  lu.factorize(ss.g);
+  rec.lu_nnz = static_cast<double>(lu.nnz_l() + lu.nnz_u());
+  return rec;
+}
+
+/// RC ladder of `n` nodes driven by a port at its head; `wrap` adds a
+/// resistor from the head to the tail, which makes the symmetric pencil
+/// n - 1 wide.
+rom::StateSpace rc_ladder_ports(int n, bool wrap) {
+  cir::Circuit ckt;
+  std::vector<cir::NodeId> nodes;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back(ckt.node("n" + std::to_string(i)));
+    ckt.add_capacitor("c" + std::to_string(i), nodes.back(), 0, 1e-15);
+    if (i > 0) {
+      ckt.add_resistor("r" + std::to_string(i), nodes[nodes.size() - 2],
+                       nodes.back(), 100.0);
+    }
+  }
+  if (wrap) ckt.add_resistor("rwrap", nodes.front(), nodes.back(), 1e3);
+  rom::StateSpaceOptions opt;
+  opt.ports = {{"in", nodes.front()}};
+  opt.observe = {nodes.back()};
+  return rom::extract_state_space(ckt, opt);
+}
+
+TEST(Prima, NonSymmetricPencilReducesThroughSparseLu) {
+  // The vsource branch row makes K non-symmetric: PRIMA must take the LU.
+  cir::NodeId out = 0;
+  const auto ckt = mwcnt_line_circuit(4.0, &out);
+  rom::StateSpaceOptions opt;
+  opt.observe = {out};
+  const FactorRecord rec =
+      reduce_and_record_factor(rom::extract_state_space(ckt, opt));
+  EXPECT_EQ(rec.factorizations, 1u);
+  EXPECT_EQ(rec.gauge_nnz, rec.lu_nnz);
+}
+
+TEST(Prima, SymmetricPencilPicksTheFactorByHalfBandwidth) {
+  const int n = static_cast<int>(rom::kBandMaxHalfWidth) + 8;
+  // Nearest-neighbour ladder: half-bandwidth 1, so the band holds 2 n.
+  const FactorRecord narrow =
+      reduce_and_record_factor(rc_ladder_ports(n, false));
+  EXPECT_EQ(narrow.factorizations, 1u);
+  EXPECT_EQ(narrow.gauge_nnz, 2.0 * n);
+  // The head-to-tail resistor makes it n - 1 > kBandMaxHalfWidth wide.
+  const FactorRecord wide = reduce_and_record_factor(rc_ladder_ports(n, true));
+  EXPECT_EQ(wide.factorizations, 1u);
+  EXPECT_EQ(wide.gauge_nnz, wide.lu_nnz);
+  EXPECT_NE(wide.gauge_nnz, static_cast<double>(n) * n);
 }
 
 // --- Frequency-domain cross-validation (golden RC / RLC lines) -----------
@@ -794,6 +871,30 @@ TEST(DrivenBus, PerDriveRomMatchesFullMnaAcrossDrives) {
       }
     }
   }
+}
+
+TEST(DrivenBus, PerDriveReductionIsOneFactorizationAndTwelveSolves) {
+  // The terminated bus pencil is symmetric and 16 wide: one band factor
+  // (n * 17 entries) and one solve per Krylov vector, counted like the LU.
+  const cir::BusConfig cfg = paper_bus(16, 64);
+  const rom::BusStateSpace bare = rom::extract_bus_state_space(cfg.topology());
+  const obs::Counter factorizations =
+      obs::counter("cnti.solver.factorizations");
+  const obs::Counter refactorizations =
+      obs::counter("cnti.solver.refactorizations");
+  const obs::Counter solves = obs::counter("cnti.solver.solves");
+  const std::uint64_t f0 = factorizations.value();
+  const std::uint64_t r0 = refactorizations.value();
+  const std::uint64_t s0 = solves.value();
+  cir::BusDrive drive;
+  drive.driver_ohm = 2e3;
+  drive.receiver_load_f = 0.5e-15;
+  EXPECT_EQ(rom::reduce_driven_bus(bare, drive).order(), 12);
+  EXPECT_EQ(factorizations.value() - f0, 1u);
+  EXPECT_EQ(refactorizations.value() - r0, 0u);
+  EXPECT_EQ(solves.value() - s0, 12u);
+  EXPECT_EQ(obs::gauge("cnti.solver.nnz_lu").value(),
+            static_cast<double>(bare.size()) * 17.0);
 }
 
 // --- Corner-anchored parametrized bus ROM --------------------------------
