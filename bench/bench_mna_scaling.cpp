@@ -6,22 +6,26 @@
 // iteration is the wall. The reproduction table reports wall-clock for an
 // identical short transient through both backends; the sparse path must be
 // >= 10x faster at the 2000-unknown bus (it lands far above that, since
-// its pattern-frozen refactorization is near O(nnz) for banded ladders).
+// its solves are near O(nnz) for banded ladders).
 //
 // Above the dense-affordable sizes a sparse-only ladder climbs into the
-// 10^4-10^5-unknown regime (ROADMAP item 3): each rung reports the kAmd
-// transient wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA
+// 10^4-10^5-unknown regime: each rung reports the kAmd transient
+// wall-clock, its factorization counts (a linear bus factors once for DC
+// and once for the transient, and never refactorizes; a failed count
+// exits non-zero) and the AMD-vs-natural nnz(L+U) of its shifted MNA
 // pencil.
 #include "bench_common.hpp"
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 
 #include "circuit/crosstalk.hpp"
 #include "circuit/mna.hpp"
 #include "core/mwcnt_line.hpp"
 #include "numerics/ordering.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 #include "rom/state_space.hpp"
 
 namespace {
@@ -57,9 +61,10 @@ void print_reproduction() {
   bench::print_header(
       "MNA backend scaling — dense vs sparse LU on coupled CNT buses",
       "Identical short transients (DC + 20 timesteps, trapezoidal) through "
-      "both linear backends. The sparse path freezes the CSR pattern on "
-      "the first assembly and refactorizes with a reused symbolic "
-      "analysis; acceptance floor is >= 10x at >= 2000 unknowns.");
+      "both linear backends. Both factor the linear bus once per analysis "
+      "and then solve once per step; the sparse path freezes the CSR "
+      "pattern and orders it once. Acceptance floor is >= 10x at >= 2000 "
+      "unknowns.");
 
   // Small-to-large sweep at matched step counts. The 20-step window keeps
   // the dense O(n^3) reference affordable at the big sizes.
@@ -113,18 +118,34 @@ void print_reproduction() {
   // No dense reference above 16 x 128 (an O(n^3) factorization per step
   // would take hours); instead each rung reports the AMD-vs-natural factor
   // fill of its shifted MNA pencil G + s C alongside the kAmd transient
-  // wall-clock.
+  // wall-clock and its factorization counts.
   std::cout << "\nSparse size ladder (kAmd default ordering, DC + "
             << kSteps << " steps):\n";
-  Table ladder({"lines x segs", "unknowns", "transient [s]", "nnz(L+U) nat",
-                "nnz(L+U) amd", "fill ratio"});
+  Table ladder({"lines x segs", "unknowns", "transient [s]",
+                "factor / refactor", "nnz(L+U) nat", "nnz(L+U) amd",
+                "fill ratio"});
+  const obs::Counter factorizations =
+      obs::counter("cnti.solver.factorizations");
+  const obs::Counter refactorizations =
+      obs::counter("cnti.solver.refactorizations");
   int max_unknowns = 0;
   for (const Case c : {Case{16, 128}, Case{24, 256}, Case{32, 400},
                        Case{32, 640}, Case{64, 1024}}) {
+    const std::string tag =
+        std::to_string(c.lines) + "x" + std::to_string(c.segments);
     circuit::BusCrosstalkResult r;
+    const std::uint64_t f0 = factorizations.value();
+    const std::uint64_t r0 = refactorizations.value();
     const double ts = timed_bus_seconds(c.lines, c.segments,
                                         circuit::SolverKind::kSparse, kSteps,
                                         &r);
+    const std::uint64_t factored = factorizations.value() - f0;
+    const std::uint64_t refactored = refactorizations.value() - r0;
+    bench::check(factored == 2 && refactored == 0,
+                 "linear bus transient on " + tag + " ran " +
+                     std::to_string(factored) + " factorizations and " +
+                     std::to_string(refactored) +
+                     " refactorizations, expected 2 and 0");
     // Factor fill of the bare-bus shifted pencil at the analysis corner
     // (the same pattern the transient's companion matrices share).
     circuit::BusConfig cfg = bus_config(c.lines, c.segments,
@@ -147,14 +168,9 @@ void print_reproduction() {
       }
     }
     const numerics::SparseMatrix a = pencil.build();
-    // kScalar pins the factor kernel: the supernodal path composes an
-    // etree postorder into the column ordering, which would make the
-    // natural-vs-AMD fill comparison measure two different permutations.
     numerics::SparseLu natural;
-    natural.set_factor_mode(numerics::FactorMode::kScalar);
     natural.factorize(a);
     numerics::SparseLu amd;
-    amd.set_factor_mode(numerics::FactorMode::kScalar);
     amd.set_column_ordering(numerics::amd_ordering(a));
     amd.factorize(a);
     const double nnz_nat =
@@ -163,6 +179,8 @@ void print_reproduction() {
     ladder.add_row({std::to_string(c.lines) + " x " +
                         std::to_string(c.segments),
                     std::to_string(r.unknowns), Table::num(ts, 4),
+                    std::to_string(factored) + " / " +
+                        std::to_string(refactored),
                     std::to_string(natural.nnz_l() + natural.nnz_u()),
                     std::to_string(amd.nnz_l() + amd.nnz_u()),
                     Table::num(nnz_amd / nnz_nat, 4)});
@@ -171,85 +189,10 @@ void print_reproduction() {
       bench::json().set("nnz_lu_natural", nnz_nat);
       bench::json().set("nnz_lu_amd", nnz_amd);
       bench::json().set("ladder_top_transient_s", ts);
-    }
-
-    // --- Supernodal vs scalar refactorization on the big rungs ----------
-    // Interleaved min-of-k: rounds alternate between the two kernels so
-    // ambient machine noise lands on both, and the minimum of each is the
-    // quiet-machine estimate (the contended samples only ever inflate).
-    if ((c.lines == 32 && c.segments == 640) ||
-        (c.lines == 64 && c.segments == 1024)) {
-      const std::string tag =
-          std::to_string(c.lines) + "x" + std::to_string(c.segments);
-      const auto ord = numerics::amd_ordering(a);
-      numerics::SparseLu scalar;
-      scalar.set_factor_mode(numerics::FactorMode::kScalar);
-      scalar.set_column_ordering(ord);
-      scalar.factorize(a);
-      numerics::SparseLu blocked;
-      blocked.set_factor_mode(numerics::FactorMode::kSupernodal);
-      blocked.set_column_ordering(ord);
-      blocked.factorize(a);
-      const std::vector<double> rhs(a.rows(), 1.0);
-      const auto min_refactor = [&](numerics::SparseLu& lu, int reps) {
-        double best = 1e300;
-        for (int i = 0; i < reps; ++i) {
-          const auto f0 = std::chrono::steady_clock::now();
-          lu.factorize(a);
-          const auto f1 = std::chrono::steady_clock::now();
-          best = std::min(best,
-                          std::chrono::duration<double>(f1 - f0).count());
-        }
-        return best;
-      };
-      const auto min_solve = [&](numerics::SparseLu& lu, int reps) {
-        double best = 1e300;
-        for (int i = 0; i < reps; ++i) {
-          const auto f0 = std::chrono::steady_clock::now();
-          const auto x = lu.solve(rhs);
-          const auto f1 = std::chrono::steady_clock::now();
-          benchmark::DoNotOptimize(x.data());
-          best = std::min(best,
-                          std::chrono::duration<double>(f1 - f0).count());
-        }
-        return best;
-      };
-      double t_scalar = 1e300, t_blocked = 1e300;
-      double s_scalar = 1e300, s_blocked = 1e300;
-      for (int round = 0; round < 4; ++round) {
-        t_scalar = std::min(t_scalar, min_refactor(scalar, 3));
-        t_blocked = std::min(t_blocked, min_refactor(blocked, 3));
-        s_scalar = std::min(s_scalar, min_solve(scalar, 3));
-        s_blocked = std::min(s_blocked, min_solve(blocked, 3));
-      }
-      const double factor_speedup = t_scalar / t_blocked;
-      const double solve_speedup = s_scalar / s_blocked;
-      // GFLOP rates: the blocked engine counts its own Schur-update flops;
-      // a triangular solve moves 2 flops per stored factor nonzero.
-      const double gemm_gflops =
-          static_cast<double>(blocked.last_gemm_flops()) / t_blocked * 1e-9;
-      const double solve_gflops =
-          2.0 * nnz_amd / s_blocked * 1e-9;
-      std::cout << "\nSupernodal refactorization, " << tag << " ("
-                << r.unknowns << " unknowns, " << blocked.supernodes()
-                << " supernodes, max width " << blocked.max_supernode_cols()
-                << "):\n  refactor " << Table::num(t_scalar * 1e3, 4)
-                << " ms scalar vs " << Table::num(t_blocked * 1e3, 4)
-                << " ms blocked (" << Table::num(factor_speedup, 3)
-                << "x), Schur GEMM " << Table::num(gemm_gflops, 3)
-                << " GF/s\n  solve    " << Table::num(s_scalar * 1e3, 4)
-                << " ms scalar vs " << Table::num(s_blocked * 1e3, 4)
-                << " ms blocked (" << Table::num(solve_speedup, 3)
-                << "x), " << Table::num(solve_gflops, 3) << " GF/s\n";
-      bench::json().set("supernodal_refactor_speedup_" + tag,
-                        factor_speedup);
-      bench::json().set("supernodal_solve_speedup_" + tag, solve_speedup);
-      bench::json().set("supernodal_gemm_gflops_" + tag, gemm_gflops);
-      bench::json().set("supernodal_solve_gflops_" + tag, solve_gflops);
-      bench::json().set("scalar_refactor_ms_" + tag, t_scalar * 1e3);
-      bench::json().set("supernodal_refactor_ms_" + tag, t_blocked * 1e3);
-      bench::json().set("supernodal_count_" + tag,
-                        static_cast<double>(blocked.supernodes()));
+      bench::json().set("ladder_top_factorizations",
+                        static_cast<double>(factored));
+      bench::json().set("ladder_top_refactorizations",
+                        static_cast<double>(refactored));
     }
   }
   ladder.print(std::cout);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "numerics/ordering.hpp"
 #include "numerics/sparse.hpp"
@@ -79,14 +80,17 @@ MosLin eval_mosfet(const MosfetParams& p, double vd, double vg, double vs) {
 }
 
 /// Index map: unknowns are node voltages 1..N, then vsource branch
-/// currents, then inductor branch currents.
+/// currents, then inductor branch currents. A circuit without MOSFETs is
+/// linear: its matrix does not depend on the solution.
 struct Layout {
   int nodes = 0;
   int vsrc_offset = 0;
   int ind_offset = 0;
   int size = 0;
+  bool linear = false;
 
   explicit Layout(const Circuit& ckt) {
+    linear = ckt.mosfets().empty();
     nodes = ckt.node_count();
     vsrc_offset = nodes;
     ind_offset = vsrc_offset + static_cast<int>(ckt.vsources().size());
@@ -97,8 +101,8 @@ struct Layout {
   static int nv(NodeId n) { return n - 1; }
 };
 
-/// Dense linear backend: stamps into a MatrixD and factorizes from scratch
-/// on every solve (the historical engine; kept as the sparse path's oracle).
+/// Dense linear backend: stamps into a MatrixD and factorizes it from
+/// scratch (the historical engine; kept as the sparse path's oracle).
 class DenseBackend {
  public:
   explicit DenseBackend(int size) : n_(static_cast<std::size_t>(size)) {}
@@ -109,13 +113,16 @@ class DenseBackend {
   }
   void end() {}
 
+  bool factored() const { return lu_.has_value(); }
+  void factor() { lu_.emplace(std::move(a_)); }
   std::vector<double> solve(const std::vector<double>& b) const {
-    return LuFactorization<double>(a_).solve(b);
+    return lu_->solve(b);
   }
 
  private:
   std::size_t n_;
   MatrixD a_;
+  std::optional<LuFactorization<double>> lu_;
 };
 
 /// Sparse linear backend: the stamp stream freezes a CSR pattern on the
@@ -127,21 +134,8 @@ class DenseBackend {
 class SparseBackend {
  public:
   explicit SparseBackend(int size,
-                         OrderingKind ordering = OrderingKind::kAmd,
-                         FactorKind factor = FactorKind::kAuto)
-      : assembler_(static_cast<std::size_t>(size)), ordering_(ordering) {
-    switch (factor) {
-      case FactorKind::kScalar:
-        lu_.set_factor_mode(numerics::FactorMode::kScalar);
-        break;
-      case FactorKind::kSupernodal:
-        lu_.set_factor_mode(numerics::FactorMode::kSupernodal);
-        break;
-      case FactorKind::kAuto:
-        lu_.set_factor_mode(numerics::FactorMode::kAuto);
-        break;
-    }
-  }
+                         OrderingKind ordering = OrderingKind::kAmd)
+      : assembler_(static_cast<std::size_t>(size)), ordering_(ordering) {}
 
   void begin() { assembler_.begin(); }
   void add(int r, int c, double v) {
@@ -150,7 +144,8 @@ class SparseBackend {
   }
   void end() { assembler_.end(); }
 
-  std::vector<double> solve(const std::vector<double>& b) {
+  bool factored() const { return lu_.analyzed(); }
+  void factor() {
     if (ordering_ == OrderingKind::kAmd && !ordered_) {
       // The pattern is frozen by the first end(); the stamp stream cannot
       // diverge afterwards, so the ordering holds for the backend's life.
@@ -158,6 +153,8 @@ class SparseBackend {
       ordered_ = true;
     }
     lu_.factorize(assembler_.matrix());
+  }
+  std::vector<double> solve(const std::vector<double>& b) const {
     return lu_.solve(b);
   }
 
@@ -179,6 +176,14 @@ void stamp_g(Backend& a, NodeId i, NodeId j, double g) {
     a.add(rj, ri, -g);
   }
 }
+
+/// Stamp sink that drops matrix entries: a factored linear system only
+/// needs its right-hand side re-assembled.
+struct DiscardMatrix {
+  void begin() {}
+  void add(int, int, double) {}
+  void end() {}
+};
 
 template <typename Backend>
 void stamp_entry(Backend& a, int row, int col, double v) {
@@ -270,14 +275,32 @@ class Assembler {
   /// Newton iteration until the update norm drops below tolerance. The
   /// backend persists across iterations (and across calls for one
   /// simulation), so symbolic reuse carries over timesteps.
+  ///
+  /// A linear circuit takes one solve. Its matrix depends only on the
+  /// circuit, dt and gmin (always 0: it skips the DC ladder), all fixed
+  /// for one backend's life, so the factors of its first call serve every
+  /// later one and only the right-hand side is re-assembled. A confirming
+  /// second iteration would reproduce the same x bit for bit.
   template <typename Backend, typename CompanionFn>
   std::vector<double> newton(Backend& backend, std::vector<double> x,
                              double time_s, double gmin, int max_iter,
                              double tol, const CompanionFn& companion,
                              int* iterations_out = nullptr) const {
     std::vector<double> b;
+    if (layout_.linear) {
+      if (backend.factored()) {
+        DiscardMatrix rhs_only;
+        assemble(x, time_s, gmin, rhs_only, b, companion);
+      } else {
+        assemble(x, time_s, gmin, backend, b, companion);
+        backend.factor();
+      }
+      if (iterations_out) *iterations_out = 1;
+      return backend.solve(b);
+    }
     for (int it = 0; it < max_iter; ++it) {
       assemble(x, time_s, gmin, backend, b, companion);
+      backend.factor();
       const std::vector<double> x_new = backend.solve(b);
       double delta = 0.0;
       for (std::size_t i = 0; i < x.size(); ++i) {
@@ -317,10 +340,14 @@ DcResult solve_dc_with(Backend& backend, const Circuit& ckt,
   };
 
   // g_min stepping: solve with a strong shunt first, then relax. The
-  // previous solution seeds the next Newton run.
+  // previous solution seeds the next Newton run. A linear circuit has
+  // nothing to continue through: it runs the last level only.
+  static constexpr double kGminLadder[] = {1e-3, 1e-6, 1e-9, 0.0};
+  const std::span<const double> ladder =
+      layout.linear ? std::span(kGminLadder).last(1) : std::span(kGminLadder);
   std::vector<double> x(static_cast<std::size_t>(layout.size), 0.0);
   int total_iters = 0;
-  for (const double gmin : {1e-3, 1e-6, 1e-9, 0.0}) {
+  for (const double gmin : ladder) {
     int iters = 0;
     x = assembler.newton(backend, std::move(x), time_s, gmin, 200, 1e-12,
                          companion, &iters);
@@ -466,7 +493,7 @@ struct DcSolver::Impl {
 DcSolver::DcSolver(const Circuit& ckt, const MnaOptions& mna)
     : impl_(std::make_unique<Impl>(Impl{ckt, Layout(ckt), {}, {}})) {
   if (use_sparse(mna, impl_->layout.size)) {
-    impl_->sparse.emplace(impl_->layout.size, mna.ordering, mna.factor);
+    impl_->sparse.emplace(impl_->layout.size, mna.ordering);
   } else {
     impl_->dense.emplace(impl_->layout.size);
   }
@@ -494,7 +521,7 @@ TransientResult simulate_transient(const Circuit& ckt,
                "dt must be positive and below t_stop");
   const Layout layout(ckt);
   if (use_sparse(opt.mna, layout.size)) {
-    SparseBackend backend(layout.size, opt.mna.ordering, opt.mna.factor);
+    SparseBackend backend(layout.size, opt.mna.ordering);
     return simulate_transient_with(backend, ckt, layout, opt);
   }
   DenseBackend backend(layout.size);

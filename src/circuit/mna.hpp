@@ -1,10 +1,12 @@
-// Modified nodal analysis engine: DC operating point (Newton with g_min
-// stepping) and fixed-step transient (backward Euler or trapezoidal, Newton
-// per step). Two linear backends share one stamping path: a dense LU (the
-// historical engine, kept as the differential-test oracle) and a sparse
-// Gilbert–Peierls LU whose fill pattern and pivot order are computed once
-// per circuit topology and refactorized cheaply across Newton iterations
-// and timesteps. kAuto routes large systems (wide coupled buses, long
+// Modified nodal analysis engine: DC operating point and fixed-step
+// transient (backward Euler or trapezoidal). Two linear backends share one
+// stamping path: a dense LU (the historical engine, kept as the
+// differential-test oracle) and a sparse Gilbert–Peierls LU whose fill
+// pattern and pivot order are computed once per circuit topology. A linear
+// circuit (no MOSFETs) factors its matrix once per analysis and then runs
+// one solve per timestep; a circuit with MOSFETs runs Newton with g_min
+// stepping at DC and Newton per timestep, refactorizing cheaply on the
+// frozen pattern. kAuto routes large systems (wide coupled buses, long
 // ladders) to the sparse path; see docs/CIRCUIT_SOLVERS.md.
 #pragma once
 
@@ -32,16 +34,6 @@ enum class OrderingKind {
              ///< symmetrized MNA pattern, computed once per topology.
 };
 
-/// Numeric factorization kernel for the sparse backend's LU.
-enum class FactorKind {
-  kScalar,      ///< Column-at-a-time Gilbert–Peierls replay.
-  kSupernodal,  ///< Blocked elimination over dense supernode panels
-                ///< (etree postorder + relaxed amalgamation; falls back
-                ///< to kScalar per-factorization when a pivot drifts).
-  kAuto,        ///< kSupernodal when the detected partition is wide
-                ///< enough to pay for the panels; kScalar otherwise.
-};
-
 struct MnaOptions {
   SolverKind solver = SolverKind::kAuto;
   /// kAuto picks the sparse backend at or above this many MNA unknowns
@@ -53,11 +45,6 @@ struct MnaOptions {
   /// refactorization reuse contract is unchanged. Ignored by the dense
   /// backend.
   OrderingKind ordering = OrderingKind::kAmd;
-  /// Numeric kernel for the sparse backend. Pattern-only: switching it
-  /// never changes the fill pattern or the refactorization contract, and
-  /// kAuto routes each topology by its detected supernode partition.
-  /// Ignored by the dense backend.
-  FactorKind factor = FactorKind::kAuto;
 };
 
 /// DC operating point.
@@ -65,7 +52,7 @@ struct DcResult {
   std::vector<double> node_voltages;    ///< [0] = ground = 0.
   std::vector<double> vsource_currents;
   std::vector<double> inductor_currents;
-  int newton_iterations = 0;
+  int newton_iterations = 0;  ///< 1 for a linear circuit (one solve).
 };
 
 DcResult solve_dc(const Circuit& ckt, double time_s = 0.0,
@@ -75,9 +62,10 @@ DcResult solve_dc(const Circuit& ckt, double time_s = 0.0,
 /// (dc_sweep, corner loops): the linear backend — and with it the sparse
 /// path's frozen stamp pattern and symbolic analysis — persists across
 /// solve() calls. The solver holds a reference: `ckt` must outlive it
-/// (binding a temporary is rejected at compile time). Element *values*
-/// (source waveforms) may change between calls; the circuit's topology
-/// must not.
+/// (binding a temporary is rejected at compile time). Source waveforms may
+/// change between calls; nothing else may. A linear circuit's matrix does
+/// not depend on the sources, so its first solve's factors serve every
+/// later call.
 class DcSolver {
  public:
   explicit DcSolver(const Circuit& ckt, const MnaOptions& mna = {});

@@ -204,15 +204,16 @@ class CsrAssembler {
 
   void freeze() {
     // Unique sorted (row, col) pairs define the CSR pattern; every recorded
-    // stamp gets the slot of its pair.
+    // stamp gets the slot of its pair. The sort is stable so duplicate
+    // stamps sum in stream order, bit for bit as every replay sums them.
     std::vector<std::size_t> order(slots_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [this](std::size_t a, std::size_t b) {
-                return slots_[a].row != slots_[b].row
-                           ? slots_[a].row < slots_[b].row
-                           : slots_[a].col < slots_[b].col;
-              });
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return slots_[a].row != slots_[b].row
+                                  ? slots_[a].row < slots_[b].row
+                                  : slots_[a].col < slots_[b].col;
+                     });
     std::vector<std::size_t> row_ptr(n_ + 1, 0);
     std::vector<std::size_t> col;
     std::vector<double> val;

@@ -10,29 +10,17 @@
 // automatically. A fill-reducing column pre-permutation (see ordering.hpp)
 // can be installed ahead of the analysis; it participates in the same
 // once-per-pattern reuse.
-//
-// On top of the scalar engine sits an optional supernodal/blocked path
-// (see supernodal.hpp): after the first scalar factorization of a pattern,
-// adjacent pivot columns with near-identical below-diagonal structure are
-// amalgamated into dense panels, and same-pattern refactorizations replay
-// through dense triangular-solve / GEMM / panel-factor microkernels
-// instead of per-nonzero scatters. solve() runs blocked substitution on
-// the same panels. FactorMode selects the kernel; kAuto engages the
-// blocked path only when the system and the detected supernodes are large
-// enough to pay for the panels. A blocked replay whose in-supernode pivot
-// degrades past the threshold bound falls back to a fresh scalar
-// factorization and stays scalar for that pattern, so the fallback result
-// is bitwise identical to the pure scalar path.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "numerics/sparse.hpp"
-#include "numerics/supernodal.hpp"
 #include "obs/obs.hpp"
 
 namespace cnti::numerics {
@@ -53,48 +41,10 @@ class SparseLu {
   /// the new analysis as usual. solve() still returns x in original
   /// variable order.
   void set_column_ordering(std::vector<std::size_t> perm) {
-    if (perm == base_q_ && q_ == base_q_) return;
-    base_q_ = std::move(perm);
-    q_ = base_q_;
+    if (perm == q_) return;
+    q_ = std::move(perm);
     analyzed_ = false;
-    blocked_.clear();
   }
-
-  const std::vector<std::size_t>& column_ordering() const { return q_; }
-
-  /// Selects the elimination kernel (scalar Gilbert–Peierls, supernodal
-  /// panels, or size-gated auto). Changing the mode invalidates the stored
-  /// symbolic analysis and any supernode partition — the next factorize()
-  /// runs fresh.
-  void set_factor_mode(FactorMode mode) {
-    if (mode == factor_mode_) return;
-    factor_mode_ = mode;
-    analyzed_ = false;
-    blocked_.clear();
-  }
-
-  FactorMode factor_mode() const { return factor_mode_; }
-
-  /// Supernode detection / amalgamation knobs. Pattern-level state, so the
-  /// stored analysis is invalidated like set_column_ordering().
-  void set_supernode_settings(const SupernodeSettings& settings) {
-    settings_ = settings;
-    analyzed_ = false;
-    blocked_.clear();
-  }
-
-  const SupernodeSettings& supernode_settings() const { return settings_; }
-
-  /// Blocked-path introspection: whether the supernodal kernels currently
-  /// own the factors, and the partition's shape (0 while scalar).
-  bool blocked_active() const { return blocked_.active(); }
-  std::size_t supernodes() const { return blocked_.count(); }
-  std::size_t max_supernode_cols() const { return blocked_.max_cols(); }
-  /// Dense panel + U-segment slots held by the blocked factors (includes
-  /// amalgamation padding); 0 while scalar.
-  std::size_t blocked_panel_nnz() const { return blocked_.panel_nnz(); }
-  /// GEMM-shaped Schur-update flops retired by the last blocked replay.
-  std::uint64_t last_gemm_flops() const { return blocked_.last_gemm_flops(); }
 
   /// Factorizes `a` (square CSR). If `a` has the same sparsity pattern as
   /// the previous factorization, the symbolic analysis and pivot order are
@@ -111,44 +61,8 @@ class SparseLu {
     static const obs::Gauge nnz_gauge = obs::gauge("cnti.solver.nnz_lu");
     static const obs::Histogram factor_hist =
         obs::histogram("cnti.solver.factor_ns");
-    static const obs::Counter blocked_replays =
-        obs::counter("cnti.solver.blocked_refactorizations");
-    static const obs::Counter gemm_flops =
-        obs::counter("cnti.solver.gemm_flops");
-    static const obs::Gauge sn_gauge = obs::gauge("cnti.solver.supernodes");
-    static const obs::Gauge sn_width_gauge =
-        obs::gauge("cnti.solver.max_supernode_cols");
-    static const obs::Histogram blocked_hist =
-        obs::histogram("cnti.solver.factor_blocked_ns");
     const std::uint64_t t0 = obs::span_start();
     const bool replayable = analyzed_ && same_pattern(a);
-    if (replayable && blocked_.active()) {
-      gather_column_values(a);
-      if (blocked_.refactorize(acol_ptr_, acol_val_, prow_, pinv_,
-                               kRefactorPivotTol, kSingularTol)) {
-        reused_symbolic_ = true;
-        replays.add();
-        blocked_replays.add();
-        gemm_flops.add(blocked_.last_gemm_flops());
-        obs::span_end("sparse_lu.refactorize_blocked", "solver", t0,
-                      blocked_hist);
-        return;
-      }
-      // An in-supernode pivot degraded past the growth bound: rebuild with
-      // fresh scalar partial pivoting and stay on the scalar path for this
-      // pattern, so everything after the fallback is bitwise identical to
-      // the pure scalar engine.
-      fallbacks.add();
-      blocked_.clear();
-      full_factorize(a);
-      reused_symbolic_ = false;
-      fulls.add();
-      nnz_gauge.set(static_cast<double>(nnz_l() + nnz_u()));
-      sn_gauge.set(0.0);
-      sn_width_gauge.set(0.0);
-      obs::span_end("sparse_lu.factorize", "solver", t0, factor_hist);
-      return;
-    }
     if (replayable && refactorize(a)) {
       reused_symbolic_ = true;
       replays.add();
@@ -158,21 +72,10 @@ class SparseLu {
     // A failed replay means a pivot degraded past the growth bound and we
     // fell back to a fresh partial-pivoting pass.
     if (replayable) fallbacks.add();
-    // A genuinely new pattern restarts from the user-installed base
-    // ordering: the etree postorder composed into q_ by a previous
-    // pattern's supernode detection is stale (it may not even have the
-    // right length). Fallbacks keep the composed ordering — same pattern,
-    // and the bitwise-identity contract is stated relative to it.
-    if (!replayable) q_ = base_q_;
     full_factorize(a);
     reused_symbolic_ = false;
     fulls.add();
-    // Supernodes are (re)detected only on a genuinely new pattern — never
-    // after a fallback, which is contracted to leave the scalar result.
-    if (!replayable) maybe_build_blocked(a);
     nnz_gauge.set(static_cast<double>(nnz_l() + nnz_u()));
-    sn_gauge.set(static_cast<double>(blocked_.count()));
-    sn_width_gauge.set(static_cast<double>(blocked_.max_cols()));
     obs::span_end("sparse_lu.factorize", "solver", t0, factor_hist);
   }
 
@@ -196,13 +99,6 @@ class SparseLu {
     // space; li_ stores original row ids, pinv_ maps them to pivot space).
     std::vector<double> y(n_);
     for (std::size_t k = 0; k < n_; ++k) y[k] = b[prow_[k]];
-    if (blocked_.active()) {
-      blocked_.solve(y);
-      if (q_.empty()) return y;
-      std::vector<double> x(n_);
-      for (std::size_t j = 0; j < n_; ++j) x[q_[j]] = y[j];
-      return x;
-    }
     for (std::size_t k = 0; k < n_; ++k) {
       const double yk = y[k];
       if (yk == 0.0) continue;
@@ -278,55 +174,11 @@ class SparseLu {
     }
   }
 
-  /// After a fresh scalar factorization of a new pattern, decide whether
-  /// to detect supernodes and hand the factors to the blocked kernels:
-  /// always under kSupernodal; under kAuto only when the system is big
-  /// enough and the detected partition wide enough to pay for panels.
-  void maybe_build_blocked(const SparseMatrix& a) {
-    blocked_.clear();
-    if (factor_mode_ == FactorMode::kScalar) return;
-    if (factor_mode_ == FactorMode::kAuto &&
-        n_ < settings_.auto_min_unknowns) {
-      return;
-    }
-    // Postorder the column elimination tree and fold it into the column
-    // ordering: a fill-equivalent relabeling that makes every supernode's
-    // columns adjacent in elimination order (the adjacency the detection
-    // scan requires). Costs one extra scalar pass on the first analysis
-    // of a pattern; replays reuse the composed ordering.
-    const std::vector<std::size_t> post =
-        etree_postorder(n_, lp_, li_, pinv_);
-    bool identity = true;
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (post[j] != j) {
-        identity = false;
-        break;
-      }
-    }
-    if (!identity) {
-      std::vector<std::size_t> q2(n_);
-      for (std::size_t j = 0; j < n_; ++j) {
-        q2[j] = q_.empty() ? post[j] : q_[post[j]];
-      }
-      q_ = std::move(q2);
-      full_factorize(a);
-    }
-    blocked_.set_column_view(&acol_ptr_, &acol_row_, &pinv_);
-    blocked_.build_from_scalar(n_, settings_, lp_, li_, lx_, up_, ui_, ux_,
-                               udiag_, prow_, pinv_);
-    if (factor_mode_ == FactorMode::kAuto &&
-        blocked_.mean_cols() < settings_.auto_min_mean_cols) {
-      blocked_.clear();
-    }
-  }
-
   void full_factorize(const SparseMatrix& a) {
     // Invalidate up front: a singularity throw below must not leave a
     // previously analyzed object claiming its (now truncated) factors are
-    // usable by solve() or a later pattern-matched refactorize(). Stale
-    // supernode panels must never survive a pattern rebuild either.
+    // usable by solve() or a later pattern-matched refactorize().
     analyzed_ = false;
-    blocked_.clear();
     n_ = a.rows();
     a_row_ptr_ = a.row_ptr();
     a_col_ = a.col_indices();
@@ -523,9 +375,6 @@ class SparseLu {
   // Optional fill-reducing column pre-permutation (q_: factored -> original
   // column; qinv_: its inverse). Empty = natural order.
   std::vector<std::size_t> q_, qinv_;
-  /// The ordering as installed by set_column_ordering(), before any etree
-  /// postorder was composed in — the restart point for a new pattern.
-  std::vector<std::size_t> base_q_;
 
   // L (unit lower; row ids are original rows) and U (strict upper in pivot
   // space + diagonal), both column-compressed; prow_/pinv_ is the row
@@ -536,13 +385,6 @@ class SparseLu {
   std::vector<double> ux_;
   std::vector<double> udiag_;
   std::vector<std::size_t> prow_, pinv_;
-
-  // Supernodal/blocked elimination engine plus its knobs. kAuto keeps
-  // small systems on the scalar path and moves large, well-clustered
-  // patterns (the AMD-ordered bus pencils) onto the dense panels.
-  FactorMode factor_mode_ = FactorMode::kAuto;
-  SupernodeSettings settings_;
-  SupernodalFactor blocked_;
 };
 
 /// One-shot sparse solve convenience (factor + solve).

@@ -143,11 +143,7 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   BandCholesky band;
   SparseLu lu;
   const bool banded = band.factorize(ss.g, ss.c, s0, kBandMaxHalfWidth);
-  if (!banded) {
-    // One factorization and q solves never pay for supernodal panels.
-    lu.set_factor_mode(numerics::FactorMode::kScalar);
-    lu.factorize(shifted_pencil(ss.g, ss.c, s0));
-  }
+  if (!banded) lu.factorize(shifted_pencil(ss.g, ss.c, s0));
   const auto solve = [&](const std::vector<double>& rhs) {
     return banded ? band.solve(rhs) : lu.solve(rhs);
   };

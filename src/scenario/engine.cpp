@@ -48,7 +48,6 @@ ContentKey topology_drive_key(const char* schema,
       .add(drive.mna.solver)
       .add(drive.mna.sparse_threshold)
       .add(drive.mna.ordering)
-      .add(drive.mna.factor)
       .add(time_steps);
   return h.key();
 }
@@ -160,7 +159,10 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
     if (s.analysis.delay_model == DelayModel::kMnaTransient) {
       const auto d = cache_.get_or_compute<double>(
           stage::kDelayMna,
-          line_rlc_hasher("stage.delay-mna.v3", cfg.line)
+          // .v4 (2026-10-19): the line is linear, so its DC is one solve
+          // at gmin = 0 instead of the four-level ladder, and the
+          // transient factors once; last bits can move.
+          line_rlc_hasher("stage.delay-mna.v4", cfg.line)
               .add(cfg.driver_resistance_ohm)
               .add(cfg.driver_output_capacitance_f)
               .add(cfg.length_m)
@@ -202,9 +204,9 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v3: the settle window gained the receiver load and the delay
       // sentinel became NaN — same key inputs, different values, so the
       // schema bump retires every pre-fix persisted entry (PR-7 policy).
-      // .v4: the sparse LU gained the supernodal kernel (kAuto default);
-      // last-bit rounding differs from the scalar path, so persisted
-      // numeric leaves from the scalar era are retired wholesale.
+      // .v4: the sparse LU gained a blocked (panel) kernel by default;
+      // last-bit rounding differed from the scalar path, so persisted
+      // numeric leaves from the scalar era were retired wholesale.
       // .v6: per-drive reduction of the terminated bus (12 vectors)
       // instead of folding the drive into a bare 2N-port reduction.
       // .v7 (2026-10-18): PRIMA factors the symmetric RC pencil with a
@@ -240,9 +242,12 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // Full sparse-MNA transient: each distinct drive is simulated once
       // and persisted; the bare netlist is built once per topology,
       // memory-only, nested so a disk hit skips even the build.
+      // .v5 (2026-10-19): the key drops the removed factor-kernel option,
+      // and the linear bus factors once per analysis with a one-solve DC;
+      // buses of 1024+ unknowns leave the blocked kernel's rounding.
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusMna,
-          topology_drive_key("stage.bus-mna.v4", topology, drive,
+          topology_drive_key("stage.bus-mna.v5", topology, drive,
                              s.analysis.time_steps),
           [&] {
             const auto bare = cache_.get_or_compute<circuit::BusNetlist>(

@@ -296,7 +296,7 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // the key). Memory-only, like the bare bus-system stage: the reduction
   // nests inside the per-sample evaluations and is cheap relative to the
   // study it unlocks.
-  // .v2: sparse-LU supernodal kernel era (see engine.cpp's .v4 bumps).
+  // .v2: sparse-LU blocked-kernel era (see engine.cpp's .v4 bumps).
   // .v3: driven reduction; the key carries the driver and the load.
   // .v4: corners terminated by rom::terminate_bus instead of stamped
   // netlist elements; last bits of the driven corners move.

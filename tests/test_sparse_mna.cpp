@@ -1,4 +1,4 @@
-// Sparse circuit engine validation, in two halves:
+// Sparse circuit engine validation, in three parts:
 //  1. SparseLu / CsrAssembler property tests — random diagonally-dominant
 //     CSR systems and random RC-ladder MNA patterns are factored and
 //     checked against the dense LuFactorization oracle to 1e-12; singular
@@ -8,9 +8,13 @@
 //     (DC, dc_sweep, RC/RLC/MOSFET transients, pair and bus crosstalk) is
 //     run through both MNA backends and the full node waveforms must agree
 //     to 1e-8 relative.
+//  3. Path choice by linearity, by exact cnti.solver.* counts: a linear
+//     circuit factors once per analysis and solves once per step, while a
+//     MOSFET circuit keeps Newton and refactorizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -25,6 +29,7 @@
 #include "numerics/rng.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 
 namespace cir = cnti::circuit;
 namespace cn = cnti::numerics;
@@ -273,204 +278,6 @@ TEST(SparseLu, RefactorizationRepivotsOnDegradedPivot) {
 }
 
 // ---------------------------------------------------------------------------
-// Supernodal / blocked elimination path.
-// ---------------------------------------------------------------------------
-
-TEST(SupernodalLu, BlockedMatchesScalarOnRandomSystems) {
-  // The blocked kernels must agree with the scalar engine to 1e-10 across
-  // random diagonally-dominant systems and saddle-point MNA ladders, on
-  // both the fresh factorization and a same-pattern numeric replay.
-  cn::Rng rng(7);
-  for (int trial = 0; trial < 3; ++trial) {
-    RandomSystem sys = make_diag_dominant(rng, 300, 4);
-    cn::SparseLu scalar;
-    scalar.set_factor_mode(cn::FactorMode::kScalar);
-    cn::SparseLu blocked;
-    blocked.set_factor_mode(cn::FactorMode::kSupernodal);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) {
-        for (auto& v : sys.sparse.values()) v *= rng.uniform(0.8, 1.2);
-      }
-      scalar.factorize(sys.sparse);
-      blocked.factorize(sys.sparse);
-      EXPECT_TRUE(blocked.blocked_active());
-      EXPECT_GT(blocked.supernodes(), 0u);
-      const auto xs = scalar.solve(sys.b);
-      const auto xb = blocked.solve(sys.b);
-      double scale = 1.0;
-      for (const double v : xs) scale = std::max(scale, std::abs(v));
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_NEAR(xb[i], xs[i], 1e-10 * scale)
-            << "trial " << trial << " pass " << pass << " component " << i;
-      }
-    }
-  }
-  for (int trial = 0; trial < 3; ++trial) {
-    const RandomSystem sys = make_rc_ladder_mna(rng, 200);
-    cn::SparseLu blocked;
-    blocked.set_factor_mode(cn::FactorMode::kSupernodal);
-    blocked.factorize(sys.sparse);
-    expect_matches_dense(sys, 1e-10);
-    const auto xb = blocked.solve(sys.b);
-    const auto xd = cn::LuFactorization<double>(sys.dense).solve(sys.b);
-    double scale = 1.0;
-    for (const double v : xd) scale = std::max(scale, std::abs(v));
-    for (std::size_t i = 0; i < xd.size(); ++i) {
-      EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-    }
-  }
-}
-
-TEST(SupernodalLu, RefactorizationReusesPartition) {
-  cn::Rng rng(19);
-  RandomSystem sys = make_diag_dominant(rng, 400, 4);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(sys.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-  const std::size_t partition = lu.supernodes();
-  const std::size_t panel_nnz = lu.blocked_panel_nnz();
-
-  for (auto& v : sys.sparse.values()) v *= rng.uniform(0.9, 1.1);
-  lu.factorize(sys.sparse);
-  EXPECT_TRUE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  EXPECT_EQ(lu.supernodes(), partition);
-  EXPECT_EQ(lu.blocked_panel_nnz(), panel_nnz);
-  EXPECT_GT(lu.last_gemm_flops(), 0u);
-}
-
-TEST(SupernodalLu, SetColumnOrderingInvalidatesPartition) {
-  cn::Rng rng(23);
-  const RandomSystem sys = make_diag_dominant(rng, 300, 4);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(sys.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-
-  // Installing a new column ordering retires the stored partition with
-  // the symbolic analysis; the next factorize() rebuilds both fresh and
-  // still solves correctly under the new permutation.
-  lu.set_column_ordering(cn::amd_ordering(sys.sparse));
-  EXPECT_FALSE(lu.blocked_active());
-  lu.factorize(sys.sparse);
-  EXPECT_FALSE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  const auto xb = lu.solve(sys.b);
-  const auto xd = cn::LuFactorization<double>(sys.dense).solve(sys.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, PatternChangeInvalidatesPartition) {
-  cn::Rng rng(29);
-  const RandomSystem first = make_diag_dominant(rng, 300, 3);
-  const RandomSystem second = make_diag_dominant(rng, 250, 5);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(first.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-
-  // A different pattern must re-run detection, not replay stale panels.
-  lu.factorize(second.sparse);
-  EXPECT_FALSE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  const auto xb = lu.solve(second.b);
-  const auto xd =
-      cn::LuFactorization<double>(second.dense).solve(second.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, RepivotFallbackReproducesScalarBitwise) {
-  // A blocked replay whose in-supernode pivot degrades past the growth
-  // bound falls back to a fresh scalar factorization and stays scalar for
-  // the pattern — the contract is *bitwise* identity with the pure scalar
-  // engine (given the same column ordering), not just tolerance-level
-  // agreement.
-  cn::SparseBuilder builder(2, 2);
-  builder.add(0, 0, 10.0);
-  builder.add(0, 1, 1.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, 1.0);
-  cn::SparseMatrix a = builder.build();
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  // Width-1 supernodes: a degraded pivot's rescue row then lives outside
-  // its own panel, so the in-supernode re-pivot cannot absorb it and the
-  // replay must take the scalar fallback. (With the default amalgamation
-  // this 2x2 would fuse into one panel and re-pivot internally.)
-  cn::SupernodeSettings narrow;
-  narrow.max_cols = 1;
-  lu.set_supernode_settings(narrow);
-  lu.factorize(a);
-  ASSERT_TRUE(lu.blocked_active());
-
-  for (std::size_t k = a.row_ptr()[0]; k < a.row_ptr()[1]; ++k) {
-    if (a.col_indices()[k] == 0) a.values()[k] = 1e-14;
-  }
-  lu.factorize(a);
-  EXPECT_FALSE(lu.reused_symbolic());  // fell back to full factorization
-  EXPECT_FALSE(lu.blocked_active());   // ... and stays scalar now
-
-  cn::SparseLu ref;
-  ref.set_factor_mode(cn::FactorMode::kScalar);
-  ref.set_column_ordering(lu.column_ordering());
-  ref.factorize(a);
-  const std::vector<double> b = {1.0, 2.0};
-  const auto x_fallback = lu.solve(b);
-  const auto x_scalar = ref.solve(b);
-  ASSERT_EQ(x_fallback.size(), x_scalar.size());
-  for (std::size_t i = 0; i < x_scalar.size(); ++i) {
-    EXPECT_EQ(x_fallback[i], x_scalar[i]) << "component " << i;
-  }
-
-  // Subsequent same-pattern replays stay on (bitwise) scalar ground too.
-  for (auto& v : a.values()) v *= 2.0;
-  lu.factorize(a);
-  ref.factorize(a);
-  EXPECT_TRUE(lu.reused_symbolic());
-  const auto y_fallback = lu.solve(b);
-  const auto y_scalar = ref.solve(b);
-  for (std::size_t i = 0; i < y_scalar.size(); ++i) {
-    EXPECT_EQ(y_fallback[i], y_scalar[i]) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, AutoRoutesBySizeAndPartitionWidth) {
-  cn::Rng rng(31);
-  // Below the size gate kAuto stays scalar.
-  const RandomSystem small = make_diag_dominant(rng, 60, 3);
-  cn::SparseLu lu_small;  // FactorMode::kAuto is the default
-  EXPECT_EQ(lu_small.factor_mode(), cn::FactorMode::kAuto);
-  lu_small.factorize(small.sparse);
-  EXPECT_FALSE(lu_small.blocked_active());
-
-  // With the size gate lowered, the same kind of system engages the
-  // blocked path (leaf amalgamation gives a wide-enough partition).
-  const RandomSystem big = make_diag_dominant(rng, 800, 3);
-  cn::SparseLu lu_big;
-  cn::SupernodeSettings settings;
-  settings.auto_min_unknowns = 64;
-  lu_big.set_supernode_settings(settings);
-  lu_big.factorize(big.sparse);
-  EXPECT_TRUE(lu_big.blocked_active());
-  const auto xb = lu_big.solve(big.b);
-  const auto xd = cn::LuFactorization<double>(big.dense).solve(big.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // CsrAssembler: pattern freeze + stamp-slot replay.
 // ---------------------------------------------------------------------------
 
@@ -495,6 +302,30 @@ TEST(CsrAssembler, ReplayAccumulatesIntoFrozenPattern) {
   EXPECT_DOUBLE_EQ(second.at(0, 1), -2.0);
   EXPECT_DOUBLE_EQ(second.at(1, 1), 6.0);
   EXPECT_EQ(second.nnz(), 4u);  // pattern unchanged
+}
+
+TEST(CsrAssembler, FirstAssemblySumsDuplicatesLikeEveryReplay) {
+  // A linear circuit factors its first assembly and never a replay, so the
+  // two must hold the same bits: duplicate stamps of mixed magnitude, whose
+  // sum depends on the order, interleaved across a few entries.
+  cn::Rng rng(5);
+  std::vector<std::size_t> rows, cols;
+  std::vector<double> vals;
+  for (int k = 0; k < 200; ++k) {
+    rows.push_back(static_cast<std::size_t>(k % 3));
+    cols.push_back(static_cast<std::size_t>((k / 3) % 2));
+    vals.push_back(rng.uniform(-1.0, 1.0) * std::pow(10.0, k % 7 - 3));
+  }
+  cn::CsrAssembler assembler(3);
+  const auto stamp = [&] {
+    assembler.begin();
+    for (std::size_t k = 0; k < vals.size(); ++k) {
+      assembler.add(rows[k], cols[k], vals[k]);
+    }
+    return assembler.end();
+  };
+  const std::vector<double> first = stamp().values();
+  EXPECT_EQ(stamp().values(), first);
 }
 
 TEST(CsrAssembler, DivergingStampStreamThrows) {
@@ -788,11 +619,10 @@ TEST(DenseSparseDifferential, AmdAndNaturalOrderingAgreeOnCoupledBus) {
               1e-8 * dense.aggressor_delay_s + 1e-18);
 }
 
-TEST(DenseSparseDifferential, ScalarAndSupernodalFactorAgreeOnCoupledBus) {
-  // The elimination kernel is a numerics-only choice: a bus transient
-  // through the scalar Gilbert–Peierls replay and through the supernodal
-  // panels (forced on, ignoring the kAuto size gate) must agree to the
-  // differential tolerance, and both must match the dense oracle.
+TEST(DenseSparseDifferential, SparseMatchesDenseOverLongCoupledBusTransient) {
+  // Both backends factor a linear bus once and reuse the factors for
+  // every step: over a long window the sparse path must still match the
+  // dense oracle to the differential tolerance.
   cir::BusConfig cfg;
   cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
   cfg.coupling_cap_per_m = 30e-12;
@@ -802,22 +632,119 @@ TEST(DenseSparseDifferential, ScalarAndSupernodalFactorAgreeOnCoupledBus) {
   cfg.aggressor = 2;
 
   cfg.mna = sparse_opts();
-  cfg.mna.factor = cir::FactorKind::kScalar;
-  const cir::BusCrosstalkResult scalar = cir::analyze_bus_crosstalk(cfg, 400);
-  cfg.mna.factor = cir::FactorKind::kSupernodal;
-  const cir::BusCrosstalkResult blocked =
-      cir::analyze_bus_crosstalk(cfg, 400);
+  const cir::BusCrosstalkResult sparse =
+      cir::analyze_bus_crosstalk(cfg, 2000);
   cfg.mna = dense_opts();
-  const cir::BusCrosstalkResult dense = cir::analyze_bus_crosstalk(cfg, 400);
+  const cir::BusCrosstalkResult dense = cir::analyze_bus_crosstalk(cfg, 2000);
 
-  EXPECT_EQ(blocked.worst_victim, scalar.worst_victim);
-  EXPECT_EQ(blocked.worst_victim, dense.worst_victim);
-  EXPECT_NEAR(blocked.peak_noise_v, scalar.peak_noise_v,
-              1e-8 * std::max(1.0, std::abs(scalar.peak_noise_v)));
-  EXPECT_NEAR(blocked.peak_noise_v, dense.peak_noise_v,
+  EXPECT_EQ(sparse.worst_victim, dense.worst_victim);
+  EXPECT_NEAR(sparse.peak_noise_v, dense.peak_noise_v,
               1e-8 * std::max(1.0, std::abs(dense.peak_noise_v)));
-  EXPECT_NEAR(blocked.aggressor_delay_s, dense.aggressor_delay_s,
+  EXPECT_NEAR(sparse.aggressor_delay_s, dense.aggressor_delay_s,
               1e-8 * dense.aggressor_delay_s + 1e-18);
+}
+
+// ---------------------------------------------------------------------------
+// Path choice by linearity: exact solver counts.
+// ---------------------------------------------------------------------------
+
+/// cnti.solver.* counter values: factorizations, refactorizations, solves.
+struct SolverCounts {
+  std::uint64_t factorizations = 0, refactorizations = 0, solves = 0;
+
+  static SolverCounts now() {
+    return {cnti::obs::counter("cnti.solver.factorizations").value(),
+            cnti::obs::counter("cnti.solver.refactorizations").value(),
+            cnti::obs::counter("cnti.solver.solves").value()};
+  }
+  SolverCounts since(const SolverCounts& before) const {
+    return {factorizations - before.factorizations,
+            refactorizations - before.refactorizations,
+            solves - before.solves};
+  }
+};
+
+TEST(LinearMna, BusTransientFactorsOnceAndSolvesOncePerStep) {
+  // A MOSFET-free bus: one factorization for the DC, one for the
+  // transient, then one solve per step (plus the DC's) and no
+  // refactorization.
+  constexpr int kSteps = 60;
+  cir::BusConfig cfg;
+  cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  cfg.coupling_cap_per_m = 30e-12;
+  cfg.length_m = 50e-6;
+  cfg.lines = 4;
+  cfg.segments = 12;
+  cfg.mna = sparse_opts();
+  const SolverCounts before = SolverCounts::now();
+  cir::analyze_bus_crosstalk(cfg, kSteps);
+  const SolverCounts d = SolverCounts::now().since(before);
+  EXPECT_EQ(d.factorizations, 2u);
+  EXPECT_EQ(d.refactorizations, 0u);
+  EXPECT_EQ(d.solves, static_cast<std::uint64_t>(kSteps) + 1);
+}
+
+TEST(LinearMna, DcIsOneSolveOnBothBackends) {
+  const cir::Circuit ckt = make_rc_ladder(30, 100.0, 1e-15);
+  for (const cir::MnaOptions& mna : {dense_opts(), sparse_opts()}) {
+    const SolverCounts before = SolverCounts::now();
+    const cir::DcResult dc = cir::solve_dc(ckt, 0.0, mna);
+    const SolverCounts d = SolverCounts::now().since(before);
+    EXPECT_EQ(dc.newton_iterations, 1);
+    if (mna.solver == cir::SolverKind::kSparse) {
+      EXPECT_EQ(d.factorizations, 1u);
+      EXPECT_EQ(d.refactorizations, 0u);
+      EXPECT_EQ(d.solves, 1u);
+    }
+  }
+}
+
+TEST(LinearMna, DcSolverFactorsOnceAcrossSourceValues) {
+  // Re-targeting a source changes only the right-hand side: the first
+  // solve's factors serve every later one, and give what a fresh solver
+  // gives.
+  cir::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto mid = ckt.node("mid");
+  ckt.add_vsource("vin", in, 0, cir::DcWave{0.0});
+  ckt.add_resistor("r1", in, mid, 1e3);
+  ckt.add_resistor("r2", mid, 0, 3e3);
+  const auto at_mid = [&](const cir::DcResult& dc) {
+    return dc.node_voltages[static_cast<std::size_t>(mid)];
+  };
+  std::vector<double> fresh;
+  for (const double v : {0.2, 0.5, 1.0, -0.7}) {
+    ckt.set_vsource_wave(0, cir::DcWave{v});
+    fresh.push_back(at_mid(cir::solve_dc(ckt, 0.0, sparse_opts())));
+    EXPECT_NEAR(fresh.back(), 0.75 * v, 1e-9);
+  }
+  cir::DcSolver solver(ckt, sparse_opts());
+  const SolverCounts before = SolverCounts::now();
+  std::size_t k = 0;
+  for (const double v : {0.2, 0.5, 1.0, -0.7}) {
+    ckt.set_vsource_wave(0, cir::DcWave{v});
+    EXPECT_EQ(at_mid(solver.solve()), fresh[k++]);
+  }
+  const SolverCounts d = SolverCounts::now().since(before);
+  EXPECT_EQ(d.factorizations, 1u);
+  EXPECT_EQ(d.refactorizations, 0u);
+  EXPECT_EQ(d.solves, 4u);
+}
+
+TEST(LinearMna, MosfetChainKeepsNewtonAndRefactorizes) {
+  // The Fig. 11 inverter chain is nonlinear: DC walks the g_min ladder
+  // with several Newton iterations, refactorizing on the frozen pattern.
+  cir::Fig11Options fopt;
+  fopt.line = cnti::core::make_paper_mwcnt(10, 4.0, 50e3).rlc();
+  fopt.length_m = 100e-6;
+  fopt.segments = 8;
+  const cir::Fig11Circuit bench = cir::build_fig11_benchmark(fopt);
+  const SolverCounts before = SolverCounts::now();
+  const cir::DcResult dc = cir::solve_dc(bench.ckt, 0.0, sparse_opts());
+  const SolverCounts d = SolverCounts::now().since(before);
+  EXPECT_GT(dc.newton_iterations, 1);
+  EXPECT_GT(d.refactorizations, 0u);
+  EXPECT_EQ(d.factorizations + d.refactorizations, d.solves);
 }
 
 }  // namespace
