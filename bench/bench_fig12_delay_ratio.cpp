@@ -7,7 +7,13 @@
 // propagation delay by ~10% (D=10 nm), ~5% (14 nm), ~2% (22 nm); doping
 // grows more effective with L and less effective with D (more shells).
 // The full MNA transient is cross-checked against the Elmore estimate.
+// The binary exits non-zero when the MNA table leaves those checkpoints:
+// a reduction more than 2 percentage points from the paper's, a reduction
+// that does not fall with D, or a D = 10 nm ratio that does not fall with
+// L.
 #include "bench_common.hpp"
+
+#include <cmath>
 
 #include "circuit/builders.hpp"
 #include "common/units.hpp"
@@ -74,15 +80,29 @@ void print_reproduction() {
                "(paper: ~10/5/2 % reduction):\n";
   Table tm({"D [nm]", "shells", "ratio (MNA)", "reduction [%]",
             "ratio (Elmore)", "paper reduction [%]"});
+  const double diameters[] = {10.0, 14.0, 22.0};
   const double paper[] = {10.0, 5.0, 2.0};
-  int idx = 0;
-  for (double d : {10.0, 14.0, 22.0}) {
+  double reduction[3];
+  for (int i = 0; i < 3; ++i) {
+    const double d = diameters[i];
     const double rm = mna_ratio(d, 10, 500);
+    reduction[i] = 100.0 * (1.0 - rm);
     tm.add_row({Table::num(d, 3),
                 std::to_string(core::make_paper_mwcnt(d, 2).shell_count()),
-                Table::num(rm, 4), Table::num(100.0 * (1.0 - rm), 3),
+                Table::num(rm, 4), Table::num(reduction[i], 3),
                 Table::num(elmore_ratio(d, 10, 500), 4),
-                Table::num(paper[idx++], 2)});
+                Table::num(paper[i], 2)});
+    bench::check(std::abs(reduction[i] - paper[i]) <= 2.0,
+                 "D = " + Table::num(d, 3) + " nm: MNA reduction " +
+                     Table::num(reduction[i], 3) + " % is more than 2 "
+                     "points from the paper's " + Table::num(paper[i], 2) +
+                     " %");
+    if (i > 0) {
+      bench::check(reduction[i] < reduction[i - 1],
+                   "MNA reduction does not fall from D = " +
+                       Table::num(diameters[i - 1], 3) + " to " +
+                       Table::num(d, 3) + " nm");
+    }
   }
   tm.print(std::cout);
 
@@ -90,8 +110,15 @@ void print_reproduction() {
   std::cout << "\nMNA ratio vs. length, D = 10 nm, N_c = 10 (doping gains "
                "with L):\n";
   Table tt({"L [um]", "ratio (MNA)"});
+  double prev_ratio = 0.0;
   for (double l : {10.0, 100.0, 500.0}) {
-    tt.add_row({Table::num(l, 4), Table::num(mna_ratio(10, 10, l), 4)});
+    const double r = mna_ratio(10, 10, l);
+    tt.add_row({Table::num(l, 4), Table::num(r, 4)});
+    if (l > 10.0) {
+      bench::check(r < prev_ratio, "D = 10 nm MNA ratio does not fall at L = " +
+                                       Table::num(l, 4) + " um");
+    }
+    prev_ratio = r;
   }
   tt.print(std::cout);
 }

@@ -83,25 +83,39 @@ std::vector<double> BandStructure::van_hove_energies(int samples) const {
 }
 
 int BandStructure::count_modes(double energy_ev, int samples) const {
+  return ModeTable(*this, samples).count(energy_ev);
+}
+
+ModeTable::ModeTable(const BandStructure& bands, int samples)
+    : metallic_(bands.chirality().is_metallic()),
+      samples_(static_cast<std::size_t>(samples)) {
+  const double kmax = bands.k_max();
+  energy_.reserve(static_cast<std::size_t>(bands.subband_count()) *
+                  samples_);
+  for (int q = 0; q < bands.subband_count(); ++q) {
+    for (int i = 0; i < samples; ++i) {
+      energy_.push_back(
+          bands.subband_energy(q, -kmax + 2.0 * kmax * i / (samples - 1)));
+    }
+  }
+}
+
+int ModeTable::count(double energy_ev) const {
   const double e = std::abs(energy_ev);
   // Below the sampling resolution the dip of a linear crossing band cannot
   // be detected numerically; zone folding gives the answer exactly there:
   // two crossing modes for metallic tubes, none inside a semiconducting gap
   // (gaps are >= ~0.38 eV nm / d, i.e. > 10 meV for any tube below ~38 nm).
   if (e < 1e-2) {
-    return ch_.is_metallic() ? 2 : 0;
+    return metallic_ ? 2 : 0;
   }
-  const double kmax = k_max();
   int crossings = 0;
-  for (int q = 0; q < subband_count(); ++q) {
-    double prev = subband_energy(q, -kmax) - e;
-    for (int i = 1; i < samples; ++i) {
-      const double kappa = -kmax + 2.0 * kmax * i / (samples - 1);
-      const double cur = subband_energy(q, kappa) - e;
-      if ((prev < 0.0 && cur >= 0.0) || (prev >= 0.0 && cur < 0.0)) {
-        ++crossings;
-      }
-      prev = cur;
+  for (std::size_t start = 0; start < energy_.size(); start += samples_) {
+    bool below = energy_[start] - e < 0.0;
+    for (std::size_t i = start + 1; i < start + samples_; ++i) {
+      const bool now_below = energy_[i] - e < 0.0;
+      crossings += below != now_below;
+      below = now_below;
     }
   }
   // Each conducting mode contributes two crossings over the full zone

@@ -5,6 +5,7 @@
 // paper's compact models consume.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "atomistic/swcnt_geometry.hpp"
@@ -46,7 +47,8 @@ class BandStructure {
   /// Number of conduction modes crossing energy |E| (counting over the full
   /// zone and halving, which is robust for chiral tubes where individual
   /// subbands are not kappa-symmetric). This equals the ballistic Landauer
-  /// transmission at energy E (per spin pair, i.e. in units of G0).
+  /// transmission at energy E (per spin pair, i.e. in units of G0). For
+  /// many energies, build one ModeTable instead.
   int count_modes(double energy_ev, int samples = 4001) const;
 
   double gamma0_ev() const { return tb_.gamma0_ev; }
@@ -56,6 +58,23 @@ class BandStructure {
   TightBindingParams tb_;
   // Precomputed phase coefficients: k.a1 = c1q_ * q + c1k_ * kappa, etc.
   double c1q_, c1k_, c2q_, c2k_;
+};
+
+/// Every subband sampled once at `samples` evenly spaced wavevectors over
+/// the full zone, so the mode count at any number of energies costs only
+/// comparisons: count(E) equals bands.count_modes(E, samples) exactly.
+class ModeTable {
+ public:
+  ModeTable(const BandStructure& bands, int samples);
+
+  /// Modes crossing |E|: sign changes of E_q(kappa) - |E| along each
+  /// subband, halved.
+  int count(double energy_ev) const;
+
+ private:
+  bool metallic_;
+  std::size_t samples_;
+  std::vector<double> energy_;  ///< [subband * samples + i]
 };
 
 }  // namespace cnti::atomistic

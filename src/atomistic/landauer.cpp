@@ -50,12 +50,12 @@ double ballistic_conductance(const BandStructure& bands, double mu_ev,
   const int n = static_cast<int>(
       std::min(4001.0, std::max(601.0, std::ceil(60.0 * half / kt))));
   const double de = (hi - lo) / (n - 1);
+  const ModeTable modes(bands, 1201);
   double acc = 0.0;
   for (int i = 0; i < n; ++i) {
     const double e = lo + i * de;
     const double w = (i == 0 || i == n - 1) ? 0.5 : 1.0;
-    acc += w * bands.count_modes(e, 1201) *
-           fermi_derivative(e, mu_ev, temperature_k);
+    acc += w * modes.count(e) * fermi_derivative(e, mu_ev, temperature_k);
   }
   return phys::kConductanceQuantum * acc * de;
 }

@@ -127,15 +127,14 @@ class DenseBackend {
 
 /// Sparse linear backend: the stamp stream freezes a CSR pattern on the
 /// first assembly (stamp-slot replay afterwards) and the SparseLu reuses
-/// its symbolic analysis across every subsequent factorization. With
-/// OrderingKind::kAmd an approximate-minimum-degree column pre-permutation
-/// is computed from the frozen pattern before the first factorization —
-/// once per topology, like the symbolic analysis it feeds.
+/// its symbolic analysis across every subsequent factorization. An
+/// approximate-minimum-degree column pre-permutation is computed from the
+/// frozen pattern before the first factorization — once per topology, like
+/// the symbolic analysis it feeds.
 class SparseBackend {
  public:
-  explicit SparseBackend(int size,
-                         OrderingKind ordering = OrderingKind::kAmd)
-      : assembler_(static_cast<std::size_t>(size)), ordering_(ordering) {}
+  explicit SparseBackend(int size)
+      : assembler_(static_cast<std::size_t>(size)) {}
 
   void begin() { assembler_.begin(); }
   void add(int r, int c, double v) {
@@ -146,7 +145,7 @@ class SparseBackend {
 
   bool factored() const { return lu_.analyzed(); }
   void factor() {
-    if (ordering_ == OrderingKind::kAmd && !ordered_) {
+    if (!ordered_) {
       // The pattern is frozen by the first end(); the stamp stream cannot
       // diverge afterwards, so the ordering holds for the backend's life.
       lu_.set_column_ordering(numerics::amd_ordering(assembler_.matrix()));
@@ -161,7 +160,6 @@ class SparseBackend {
  private:
   CsrAssembler assembler_;
   SparseLu lu_;
-  OrderingKind ordering_;
   bool ordered_ = false;
 };
 
@@ -194,6 +192,10 @@ void stamp_rhs(std::vector<double>& b, int row, double v) {
   if (row >= 0) b[static_cast<std::size_t>(row)] += v;
 }
 
+/// kAuto's crossover in MNA unknowns (node voltages + source/inductor
+/// branch currents): below it the dense engine wins on constant factors.
+constexpr int kSparseThreshold = 192;
+
 /// Resolves kAuto against the system size.
 bool use_sparse(const MnaOptions& mna, int size) {
   switch (mna.solver) {
@@ -202,7 +204,7 @@ bool use_sparse(const MnaOptions& mna, int size) {
     case SolverKind::kSparse:
       return true;
     case SolverKind::kAuto:
-      return size >= mna.sparse_threshold;
+      return size >= kSparseThreshold;
   }
   return false;
 }
@@ -481,37 +483,14 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
 
 }  // namespace
 
-struct DcSolver::Impl {
-  const Circuit& ckt;
-  Layout layout;
-  // Exactly one backend is engaged; it survives across solve() calls so
-  // the sparse symbolic analysis is paid once per circuit topology.
-  std::optional<DenseBackend> dense;
-  std::optional<SparseBackend> sparse;
-};
-
-DcSolver::DcSolver(const Circuit& ckt, const MnaOptions& mna)
-    : impl_(std::make_unique<Impl>(Impl{ckt, Layout(ckt), {}, {}})) {
-  if (use_sparse(mna, impl_->layout.size)) {
-    impl_->sparse.emplace(impl_->layout.size, mna.ordering);
-  } else {
-    impl_->dense.emplace(impl_->layout.size);
-  }
-}
-
-DcSolver::~DcSolver() = default;
-DcSolver::DcSolver(DcSolver&&) noexcept = default;
-DcSolver& DcSolver::operator=(DcSolver&&) noexcept = default;
-
-DcResult DcSolver::solve(double time_s) {
-  if (impl_->sparse) {
-    return solve_dc_with(*impl_->sparse, impl_->ckt, impl_->layout, time_s);
-  }
-  return solve_dc_with(*impl_->dense, impl_->ckt, impl_->layout, time_s);
-}
-
 DcResult solve_dc(const Circuit& ckt, double time_s, const MnaOptions& mna) {
-  return DcSolver(ckt, mna).solve(time_s);
+  const Layout layout(ckt);
+  if (use_sparse(mna, layout.size)) {
+    SparseBackend backend(layout.size);
+    return solve_dc_with(backend, ckt, layout, time_s);
+  }
+  DenseBackend backend(layout.size);
+  return solve_dc_with(backend, ckt, layout, time_s);
 }
 
 TransientResult simulate_transient(const Circuit& ckt,
@@ -521,7 +500,7 @@ TransientResult simulate_transient(const Circuit& ckt,
                "dt must be positive and below t_stop");
   const Layout layout(ckt);
   if (use_sparse(opt.mna, layout.size)) {
-    SparseBackend backend(layout.size, opt.mna.ordering);
+    SparseBackend backend(layout.size);
     return simulate_transient_with(backend, ckt, layout, opt);
   }
   DenseBackend backend(layout.size);

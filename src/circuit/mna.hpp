@@ -10,7 +10,6 @@
 // ladders) to the sparse path; see docs/CIRCUIT_SOLVERS.md.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,29 +21,12 @@ namespace cnti::circuit {
 /// Linear-solver backend selection for the MNA engine.
 enum class SolverKind {
   kDense,   ///< Dense partial-pivot LU, O(n^3) per Newton iteration.
-  kSparse,  ///< Pattern-frozen CSR stamping + reusable SparseLu.
-  kAuto,    ///< kSparse above MnaOptions::sparse_threshold unknowns.
-};
-
-/// Fill-reducing column pre-ordering for the sparse backend's LU.
-enum class OrderingKind {
-  kNatural,  ///< Factor in assembly order (segment-major buses are
-             ///< near-banded already).
-  kAmd,      ///< Approximate-minimum-degree pre-permutation of the
-             ///< symmetrized MNA pattern, computed once per topology.
+  kSparse,  ///< Pattern-frozen CSR stamping + AMD-ordered, reusable SparseLu.
+  kAuto,    ///< kSparse at or above 192 MNA unknowns, where it wins.
 };
 
 struct MnaOptions {
   SolverKind solver = SolverKind::kAuto;
-  /// kAuto picks the sparse backend at or above this many MNA unknowns
-  /// (node voltages + source/inductor branch currents). Below it the dense
-  /// engine wins on constant factors.
-  int sparse_threshold = 192;
-  /// Column pre-permutation applied ahead of the sparse LU's symbolic
-  /// analysis. Computed once per frozen pattern, so the Newton/timestep
-  /// refactorization reuse contract is unchanged. Ignored by the dense
-  /// backend.
-  OrderingKind ordering = OrderingKind::kAmd;
 };
 
 /// DC operating point.
@@ -57,29 +39,6 @@ struct DcResult {
 
 DcResult solve_dc(const Circuit& ckt, double time_s = 0.0,
                   const MnaOptions& mna = {});
-
-/// Reusable DC engine for repeated operating-point solves of one circuit
-/// (dc_sweep, corner loops): the linear backend — and with it the sparse
-/// path's frozen stamp pattern and symbolic analysis — persists across
-/// solve() calls. The solver holds a reference: `ckt` must outlive it
-/// (binding a temporary is rejected at compile time). Source waveforms may
-/// change between calls; nothing else may. A linear circuit's matrix does
-/// not depend on the sources, so its first solve's factors serve every
-/// later call.
-class DcSolver {
- public:
-  explicit DcSolver(const Circuit& ckt, const MnaOptions& mna = {});
-  explicit DcSolver(Circuit&& ckt, const MnaOptions& mna = {}) = delete;
-  ~DcSolver();
-  DcSolver(DcSolver&&) noexcept;
-  DcSolver& operator=(DcSolver&&) noexcept;
-
-  DcResult solve(double time_s = 0.0);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 

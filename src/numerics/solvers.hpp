@@ -1,15 +1,10 @@
-// Iterative Krylov solvers for the sparse systems produced by the TCAD field
-// solver (SPD Laplacians -> CG), non-symmetric systems (BiCGSTAB, restarted
-// GMRES), and the ROM-preconditioned exact corner checks of the bus solver.
-// Every solver takes an optional preconditioner callback; when none is given
-// the dependency-free Jacobi preconditioner is built from the matrix
-// diagonal, which reproduces the historical behaviour bit-for-bit.
+// Iterative and direct solvers for the TCAD and thermal tiers: Jacobi-
+// preconditioned conjugate gradient for the SPD Laplacians of the field
+// solver, and the Thomas algorithm for the 1-D thermal line.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,13 +22,7 @@ struct IterativeResult {
 struct IterativeOptions {
   std::size_t max_iterations = 5000;
   double tolerance = 1e-10;  ///< Relative residual target.
-  std::size_t restart = 50;  ///< GMRES restart length (Krylov basis size).
 };
-
-/// Application of an approximate inverse: z = M^{-1} r. The callback must
-/// resize/overwrite z (it receives a scratch vector, not an accumulator).
-using PreconditionerFn =
-    std::function<void(const std::vector<double>& r, std::vector<double>& z)>;
 
 namespace detail {
 
@@ -65,26 +54,13 @@ inline double true_residual(const SparseMatrix& a, const std::vector<double>& b,
 
 }  // namespace detail
 
-/// Jacobi (diagonal-inverse) preconditioner; missing/tiny diagonals fall
-/// back to the identity, matching the historical in-solver behaviour.
-inline PreconditionerFn jacobi_preconditioner(const SparseMatrix& a) {
-  std::vector<double> dinv = a.diagonal();
-  for (auto& d : dinv) d = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
-  return [dinv = std::move(dinv)](const std::vector<double>& r,
-                                  std::vector<double>& z) {
-    z.resize(dinv.size());
-    for (std::size_t i = 0; i < dinv.size(); ++i) z[i] = dinv[i] * r[i];
-  };
-}
-
-/// Preconditioned conjugate gradient for SPD systems (Jacobi by default).
-/// x0 may seed the iteration (pass empty for zero start); a seed already
-/// within tolerance converges in zero iterations.
+/// Jacobi-preconditioned conjugate gradient for SPD systems. x0 may seed
+/// the iteration (pass empty for zero start); a seed already within
+/// tolerance converges in zero iterations.
 inline IterativeResult conjugate_gradient(const SparseMatrix& a,
                                           const std::vector<double>& b,
                                           const IterativeOptions& opt = {},
-                                          std::vector<double> x0 = {},
-                                          const PreconditionerFn& precond = {}) {
+                                          std::vector<double> x0 = {}) {
   CNTI_EXPECTS(a.rows() == a.cols(), "CG needs a square matrix");
   CNTI_EXPECTS(b.size() == a.rows(), "rhs size mismatch");
   const std::size_t n = a.rows();
@@ -93,8 +69,13 @@ inline IterativeResult conjugate_gradient(const SparseMatrix& a,
   res.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
   CNTI_EXPECTS(res.x.size() == n, "x0 size mismatch");
 
-  const PreconditionerFn apply_m =
-      precond ? precond : jacobi_preconditioner(a);
+  // Jacobi: missing or tiny diagonals fall back to the identity.
+  std::vector<double> dinv = a.diagonal();
+  for (auto& d : dinv) d = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
+  const auto apply_m = [&dinv](const std::vector<double>& v,
+                               std::vector<double>& out) {
+    for (std::size_t i = 0; i < dinv.size(); ++i) out[i] = dinv[i] * v[i];
+  };
 
   std::vector<double> r(n), z(n), p(n), ap(n);
   a.multiply(res.x, ap);
@@ -139,204 +120,6 @@ inline IterativeResult conjugate_gradient(const SparseMatrix& a,
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
   res.residual = detail::true_residual(a, b, res.x, bnorm, ap);
-  res.converged = res.residual < opt.tolerance;
-  return res;
-}
-
-/// Preconditioned BiCGSTAB for general (non-symmetric) systems (Jacobi by
-/// default). Breakdowns of the recurrence (rhat'v ~ 0, t't ~ 0, omega ~ 0)
-/// exit cleanly: x stays finite and the reported residual is the true
-/// ||b - A x|| / ||b|| of the last iterate.
-inline IterativeResult bicgstab(const SparseMatrix& a,
-                                const std::vector<double>& b,
-                                const IterativeOptions& opt = {},
-                                std::vector<double> x0 = {},
-                                const PreconditionerFn& precond = {}) {
-  CNTI_EXPECTS(a.rows() == a.cols(), "BiCGSTAB needs a square matrix");
-  CNTI_EXPECTS(b.size() == a.rows(), "rhs size mismatch");
-  const std::size_t n = a.rows();
-  IterativeResult res;
-  res.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
-  CNTI_EXPECTS(res.x.size() == n, "x0 size mismatch");
-
-  const PreconditionerFn apply_m =
-      precond ? precond : jacobi_preconditioner(a);
-
-  std::vector<double> r(n), rhat(n), p(n, 0.0), v(n, 0.0), s(n), t(n),
-      phat(n), shat(n);
-  a.multiply(res.x, v);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - v[i];
-  rhat = r;
-  std::fill(v.begin(), v.end(), 0.0);
-
-  const double bnorm = detail::norm2(b);
-  if (bnorm < 1e-300) {
-    res.x.assign(n, 0.0);
-    res.converged = true;
-    return res;
-  }
-
-  res.residual = detail::norm2(r) / bnorm;
-  if (res.residual < opt.tolerance) {
-    res.converged = true;  // seed already within tolerance: 0 iterations
-    return res;
-  }
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  for (std::size_t it = 0; it < opt.max_iterations; ++it) {
-    const double rho_new = detail::dot(rhat, r);
-    if (std::abs(rho_new) < 1e-300) break;
-    const double beta = (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    apply_m(p, phat);
-    a.multiply(phat, v);
-    // Guard the alpha denominator: rhat'v ~ 0 (relative to its factors)
-    // would make alpha inf/NaN and silently poison x.
-    const double rhat_v = detail::dot(rhat, v);
-    if (std::abs(rhat_v) <=
-        1e-30 * detail::norm2(rhat) * detail::norm2(v)) {
-      break;
-    }
-    alpha = rho / rhat_v;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    if (detail::norm2(s) / bnorm < opt.tolerance) {
-      detail::axpy(alpha, phat, res.x);
-      res.iterations = it + 1;
-      res.residual = detail::norm2(s) / bnorm;
-      res.converged = true;
-      return res;
-    }
-    apply_m(s, shat);
-    a.multiply(shat, t);
-    const double tt = detail::dot(t, t);
-    if (tt < 1e-300) break;
-    omega = detail::dot(t, s) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.x[i] += alpha * phat[i] + omega * shat[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    res.iterations = it + 1;
-    res.residual = detail::norm2(r) / bnorm;
-    if (res.residual < opt.tolerance) {
-      res.converged = true;
-      return res;
-    }
-    if (std::abs(omega) < 1e-300) break;
-  }
-  // Breakdown or iteration cap: report the true residual of the current
-  // iterate so converged/residual are never left ambiguous.
-  res.residual = detail::true_residual(a, b, res.x, bnorm, t);
-  res.converged = res.residual < opt.tolerance;
-  return res;
-}
-
-/// Restarted GMRES(m) with right preconditioning (Jacobi by default), for
-/// general non-symmetric systems. Right preconditioning keeps the monitored
-/// residual the *true* residual of A x = b, so tolerance semantics match
-/// bicgstab exactly. iterations counts inner Arnoldi steps.
-inline IterativeResult gmres(const SparseMatrix& a,
-                             const std::vector<double>& b,
-                             const IterativeOptions& opt = {},
-                             std::vector<double> x0 = {},
-                             const PreconditionerFn& precond = {}) {
-  CNTI_EXPECTS(a.rows() == a.cols(), "GMRES needs a square matrix");
-  CNTI_EXPECTS(b.size() == a.rows(), "rhs size mismatch");
-  CNTI_EXPECTS(opt.restart >= 1, "GMRES restart length must be >= 1");
-  const std::size_t n = a.rows();
-  IterativeResult res;
-  res.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
-  CNTI_EXPECTS(res.x.size() == n, "x0 size mismatch");
-
-  const PreconditionerFn apply_m =
-      precond ? precond : jacobi_preconditioner(a);
-
-  const double bnorm = detail::norm2(b);
-  if (bnorm < 1e-300) {
-    res.x.assign(n, 0.0);
-    res.converged = true;
-    return res;
-  }
-
-  const std::size_t m = std::min(opt.restart, opt.max_iterations);
-  std::vector<std::vector<double>> basis;   // v_1..v_{j+1} (x-space)
-  std::vector<std::vector<double>> zbasis;  // z_j = M^{-1} v_j
-  std::vector<std::vector<double>> hcols;   // rotated upper-triangular R
-  std::vector<double> r(n), w(n);
-  // Hessenberg column h(0..j+1) per step, reduced by Givens rotations; g
-  // holds the rotated rhs whose tail entry is the current residual norm.
-  std::vector<double> h(m + 1), g(m + 1), cs(m), sn(m), y(m);
-
-  while (res.iterations < opt.max_iterations) {
-    a.multiply(res.x, r);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-    const double beta = detail::norm2(r);
-    res.residual = beta / bnorm;
-    if (res.residual < opt.tolerance) {
-      res.converged = true;
-      return res;
-    }
-    basis.assign(1, r);
-    for (double& x : basis[0]) x /= beta;
-    zbasis.clear();
-    hcols.clear();
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    std::size_t j = 0;
-    bool stalled = false;
-    while (j < m && res.iterations < opt.max_iterations) {
-      zbasis.emplace_back(n);
-      apply_m(basis[j], zbasis[j]);
-      a.multiply(zbasis[j], w);
-      // Modified Gram-Schmidt.
-      for (std::size_t i = 0; i <= j; ++i) {
-        h[i] = detail::dot(basis[i], w);
-        detail::axpy(-h[i], basis[i], w);
-      }
-      h[j + 1] = detail::norm2(w);
-      const double hnext = h[j + 1];
-      // Apply the accumulated Givens rotations to the new column.
-      for (std::size_t i = 0; i < j; ++i) {
-        const double tmp = cs[i] * h[i] + sn[i] * h[i + 1];
-        h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1];
-        h[i] = tmp;
-      }
-      const double denom = std::hypot(h[j], h[j + 1]);
-      if (denom < 1e-300) {
-        zbasis.pop_back();  // column is numerically void; drop it
-        stalled = true;
-        break;
-      }
-      cs[j] = h[j] / denom;
-      sn[j] = h[j + 1] / denom;
-      h[j] = denom;
-      g[j + 1] = -sn[j] * g[j];
-      g[j] *= cs[j];
-      hcols.emplace_back(h.begin(), h.begin() + static_cast<long>(j) + 1);
-      ++res.iterations;
-      ++j;
-      res.residual = std::abs(g[j]) / bnorm;
-      if (res.residual < opt.tolerance || hnext < 1e-300) break;
-      basis.push_back(w);
-      for (double& x : basis.back()) x /= hnext;
-    }
-
-    // Back-substitute R y = g over the j columns built this cycle and
-    // correct x through the preconditioned basis (right preconditioning).
-    for (std::size_t k = j; k-- > 0;) {
-      double sum = g[k];
-      for (std::size_t i = k + 1; i < j; ++i) sum -= hcols[i][k] * y[i];
-      y[k] = sum / hcols[k][k];
-    }
-    for (std::size_t k = 0; k < j; ++k) detail::axpy(y[k], zbasis[k], res.x);
-    if (stalled && j == 0) break;  // no progress possible this cycle
-  }
-  a.multiply(res.x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  res.residual = detail::norm2(r) / bnorm;
   res.converged = res.residual < opt.tolerance;
   return res;
 }

@@ -93,6 +93,8 @@ struct Global {
   std::vector<std::unique_ptr<std::string>> interned;
   std::map<std::string, const char*, std::less<>> intern_index;
   std::atomic<std::uint64_t> dropped{0};
+  /// `dropped` when the current trace period began (0 for CNTI_TRACE).
+  std::atomic<std::uint64_t> dropped_at_epoch{0};
   std::atomic<std::uint64_t> epoch_ns{0};
   std::uint32_t next_tid = 1;
   std::string env_path;
@@ -479,6 +481,7 @@ TraceSession::TraceSession() : epoch_ns_(now_ns()) {
   if (detail::g_trace_level.fetch_add(1, std::memory_order_relaxed) == 0) {
     g().epoch_ns.store(epoch_ns_, std::memory_order_relaxed);
     drain_all(/*collect=*/false);  // discard events from earlier sessions
+    g().dropped_at_epoch.store(dropped_events(), std::memory_order_relaxed);
   }
 }
 
@@ -500,7 +503,10 @@ void TraceSession::write_json(std::ostream& out, bool include_metrics) {
 
 void write_trace_json(std::ostream& out, const std::vector<TraceEvent>& events,
                       std::uint64_t epoch_ns, bool include_metrics) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  const std::uint64_t dropped =
+      dropped_events() - g().dropped_at_epoch.load(std::memory_order_relaxed);
+  out << "{\"displayTimeUnit\":\"ms\",\"droppedEvents\":" << dropped
+      << ",\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& ev : events) {
     if (ev.name == nullptr || ev.tier == nullptr) continue;

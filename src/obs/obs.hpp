@@ -222,15 +222,19 @@ class TraceSession {
 };
 
 /// Render drained events as a Chrome trace-event / Perfetto JSON object:
-///   {"displayTimeUnit":"ms","traceEvents":[{"name","cat","ph":"X","pid",
-///    "tid","ts","dur"},...],"metrics":{...}}
-/// ts/dur are microseconds relative to `epoch_ns`. The output passes the
-/// strict service::parse_json reader (no duplicate keys, bounded depth).
+///   {"displayTimeUnit":"ms","droppedEvents":N,"traceEvents":[{"name",
+///    "cat","ph":"X","pid","tid","ts","dur"},...],"metrics":{...}}
+/// ts/dur are microseconds relative to `epoch_ns`. droppedEvents counts the
+/// events that fell off a ring since the trace period began (the first
+/// live session's start, or process start under CNTI_TRACE), as of the
+/// last drain; a complete trace has 0. The output passes the strict
+/// service::parse_json reader (no duplicate keys, bounded depth).
 void write_trace_json(std::ostream& out, const std::vector<TraceEvent>& events,
                       std::uint64_t epoch_ns, bool include_metrics);
 
-/// Events that fell off a ring before a drain (ring capacity exceeded).
-/// Exposed so trace consumers can tell "quiet" from "lossy".
+/// Events that fell off a ring before a drain (ring capacity exceeded),
+/// over the process lifetime. Exposed so trace consumers can tell "quiet"
+/// from "lossy".
 std::uint64_t dropped_events();
 
 }  // namespace cnti::obs

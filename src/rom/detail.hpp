@@ -79,9 +79,8 @@ Projection project(const StateSpace& ss,
                    const std::vector<std::vector<double>>& basis);
 
 /// Folds shunt port terminations into g and c (q x q) as the rank-1
-/// congruence updates g += gs b l^T, c += cs b l^T of ReducedModel::
-/// terminated(), one row axpy per nonzero b entry. Validates every load
-/// against the shapes of br / lr.
+/// congruence updates g += gs b l^T, c += cs b l^T, one row axpy per
+/// nonzero b entry. Validates every load against the shapes of br / lr.
 void fold_terminations(numerics::MatrixD& g, numerics::MatrixD& c,
                        const numerics::MatrixD& br,
                        const numerics::MatrixD& lr,

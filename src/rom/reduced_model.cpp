@@ -6,7 +6,6 @@
 #include <variant>
 
 #include "common/error.hpp"
-#include "numerics/eig.hpp"
 #include "obs/obs.hpp"
 #include "rom/detail.hpp"
 
@@ -15,9 +14,7 @@ namespace cnti::rom {
 namespace {
 
 using numerics::LuFactorization;
-using numerics::MatrixC;
 using numerics::MatrixD;
-using std::complex;
 
 std::vector<double> column(const MatrixD& m, int c) {
   std::vector<double> out(m.rows());
@@ -90,117 +87,6 @@ void detail::fold_terminations(MatrixD& g, MatrixD& c, const MatrixD& br,
       }
     }
   }
-}
-
-ReducedModel ReducedModel::terminated(
-    const std::vector<PortTermination>& loads) const {
-  MatrixD g = gr_;
-  MatrixD c = cr_;
-  detail::fold_terminations(g, c, br_, lr_, loads);
-  ReducedModel out(std::move(g), std::move(c), br_, lr_, input_names_,
-                   output_names_, full_order_);
-  out.basis_ = basis_;  // same projection span; see basis()
-  return out;
-}
-
-complex<double> ReducedModel::transfer(double frequency_hz, int output,
-                                       int input) const {
-  CNTI_EXPECTS(frequency_hz >= 0, "transfer: negative frequency");
-  CNTI_EXPECTS(input >= 0 && input < inputs(),
-               "transfer: input index out of range");
-  CNTI_EXPECTS(output >= 0 && output < outputs(),
-               "transfer: output index out of range");
-  const std::size_t q = gr_.rows();
-  const double omega = 2.0 * M_PI * frequency_hz;
-  MatrixC a(q, q);
-  std::vector<complex<double>> rhs(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = 0; j < q; ++j) {
-      a(i, j) = complex<double>(gr_(i, j), omega * cr_(i, j));
-    }
-    rhs[i] = complex<double>(br_(i, static_cast<std::size_t>(input)), 0.0);
-  }
-  const auto x = LuFactorization<complex<double>>(a).solve(rhs);
-  complex<double> y(0.0, 0.0);
-  for (std::size_t i = 0; i < q; ++i) {
-    y += lr_(i, static_cast<std::size_t>(output)) * x[i];
-  }
-  return y;
-}
-
-circuit::AcResult ReducedModel::transfer_sweep(
-    const std::vector<double>& freqs_hz, int output, int input) const {
-  CNTI_EXPECTS(!freqs_hz.empty(), "transfer_sweep: need at least one frequency");
-  circuit::AcResult out;
-  out.frequency_hz = freqs_hz;
-  out.transfer.reserve(freqs_hz.size());
-  for (const double f : freqs_hz) {
-    out.transfer.push_back(transfer(f, output, input));
-  }
-  return out;
-}
-
-std::vector<MatrixD> ReducedModel::moments(int count) const {
-  CNTI_EXPECTS(count >= 1, "moments: need count >= 1");
-  const LuFactorization<double> lu(gr_);
-  // Blocks R_0 = Gr^{-1} Br, R_{k+1} = -Gr^{-1} Cr R_k; m_k = Lr^T R_k.
-  MatrixD r = lu.solve(br_);
-  std::vector<MatrixD> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    if (k > 0) {
-      MatrixD cr_r = cr_ * r;
-      cr_r *= -1.0;
-      r = lu.solve(cr_r);
-    }
-    MatrixD mk(lr_.cols(), br_.cols());
-    for (std::size_t p = 0; p < lr_.cols(); ++p) {
-      const auto lcol = column(lr_, static_cast<int>(p));
-      for (std::size_t m = 0; m < br_.cols(); ++m) {
-        mk(p, m) = detail::dot(lcol, column(r, static_cast<int>(m)));
-      }
-    }
-    out.push_back(std::move(mk));
-  }
-  return out;
-}
-
-double ReducedModel::elmore_delay(int output, int input) const {
-  CNTI_EXPECTS(input >= 0 && input < inputs(),
-               "elmore_delay: input index out of range");
-  CNTI_EXPECTS(output >= 0 && output < outputs(),
-               "elmore_delay: output index out of range");
-  const auto m = moments(2);
-  const double m0 = m[0](static_cast<std::size_t>(output),
-                         static_cast<std::size_t>(input));
-  CNTI_EXPECTS(std::abs(m0) > 1e-300, "elmore_delay: zero DC transfer");
-  return -m[1](static_cast<std::size_t>(output),
-               static_cast<std::size_t>(input)) /
-         m0;
-}
-
-std::vector<complex<double>> ReducedModel::poles(double rel_tol) const {
-  // Finite poles of (Gr + s Cr): s = -1/mu for eigenvalues mu of
-  // A = Gr^{-1} Cr. Near-zero mu are numerical stand-ins for modes at
-  // infinity and are dropped.
-  const MatrixD a = LuFactorization<double>(gr_).solve(cr_);
-  const auto mu = numerics::eigenvalues(a);
-  double mu_max = 0.0;
-  for (const auto& m : mu) mu_max = std::max(mu_max, std::abs(m));
-  std::vector<complex<double>> out;
-  for (const auto& m : mu) {
-    if (std::abs(m) > rel_tol * mu_max && std::abs(m) > 0.0) {
-      out.push_back(-1.0 / m);
-    }
-  }
-  return out;
-}
-
-bool ReducedModel::stable(double slack) const {
-  for (const auto& p : poles()) {
-    if (p.real() > slack * std::abs(p)) return false;
-  }
-  return true;
 }
 
 ReducedModel::Transient ReducedModel::simulate(
@@ -287,19 +173,6 @@ ReducedModel::Transient ReducedModel::simulate(
     record(step, t);
   }
   return out;
-}
-
-ReducedModel::Transient ReducedModel::step_response(int input,
-                                                    double t_stop_s,
-                                                    double dt_s) const {
-  CNTI_EXPECTS(input >= 0 && input < inputs(),
-               "step_response: input index out of range");
-  std::vector<circuit::Waveform> waves(static_cast<std::size_t>(inputs()),
-                                       circuit::DcWave{0.0});
-  circuit::PwlWave step;
-  step.points = {{0.0, 0.0}, {dt_s * 1e-6, 1.0}};
-  waves[static_cast<std::size_t>(input)] = step;
-  return simulate(waves, t_stop_s, dt_s);
 }
 
 }  // namespace cnti::rom

@@ -3,28 +3,27 @@
 //
 //   Cr dx/dt + Gr x = Br u,   y = Lr^T x
 //
-// with q in the tens where the full circuit had thousands of unknowns.
-// Everything a design-space sweep needs is evaluated directly on the small
-// system: trapezoidal transient response to arbitrary source waveforms, AC
-// transfer functions H(jw), transfer-function moments / Elmore delay, and
-// dominant poles via the dense Hessenberg-QR eigensolver. Because Gr and Cr
-// are congruence projections of a passive network (see state_space.hpp),
-// every finite pole lies in the closed left half-plane — reduced models
-// cannot blow up, no matter how aggressively the order was truncated.
+// with q in the tens where the full circuit had thousands of unknowns. A
+// design-space sweep evaluates the trapezoidal transient response to
+// arbitrary source waveforms directly on the small system. Because Gr and
+// Cr are congruence projections of a passive network (see
+// state_space.hpp), Cr is symmetric positive semidefinite and Gr + Gr^T is
+// too, so every finite pole lies in the closed left half-plane — reduced
+// models cannot blow up, no matter how aggressively the order was
+// truncated.
 //
 // Port terminations (driver conductances, receiver loads) fold into the
-// reduced matrices as rank-1 updates (terminated()), which is what turns
-// one reduction into thousands of evaluable driver/load scenarios.
+// reduced matrices as rank-1 updates (detail::fold_terminations), which is
+// what turns one reduction into thousands of evaluable driver/load
+// scenarios.
 //
-// All evaluation methods are const and allocate locally, so one model can
-// be shared across SweepEngine/ThreadPool workers without synchronization.
+// simulate() is const and allocates locally, so one model can be shared
+// across SweepEngine/ThreadPool workers without synchronization.
 #pragma once
 
-#include <complex>
 #include <string>
 #include <vector>
 
-#include "circuit/ac.hpp"
 #include "circuit/waveform.hpp"
 #include "numerics/matrix.hpp"
 
@@ -65,45 +64,12 @@ class ReducedModel {
 
   /// Orthonormal projection basis V as q full-order columns, retained only
   /// when the reduction ran with PrimaOptions::keep_basis (empty
-  /// otherwise). terminated() carries it through unchanged: terminations
-  /// are congruence updates in the reduced space, the span of V is the
-  /// same.
+  /// otherwise).
   const std::vector<std::vector<double>>& basis() const { return basis_; }
   bool has_basis() const { return !basis_.empty(); }
   void set_basis(std::vector<std::vector<double>> basis) {
     basis_ = std::move(basis);
   }
-
-  /// Model with external shunt terminations folded into Gr/Cr (rank-1
-  /// congruence updates; preserves stability because the terminated full
-  /// network is still passive).
-  ReducedModel terminated(const std::vector<PortTermination>& loads) const;
-
-  /// H(j 2 pi f) from one input to one output.
-  std::complex<double> transfer(double frequency_hz, int output,
-                                int input) const;
-
-  /// Transfer function over a frequency grid, in the same AcResult form as
-  /// circuit::ac_analysis (so bandwidth_3db etc. apply unchanged).
-  circuit::AcResult transfer_sweep(const std::vector<double>& freqs_hz,
-                                   int output, int input) const;
-
-  /// Transfer-function moments about s = 0: H(s) = sum_k moments[k] s^k,
-  /// each an outputs x inputs matrix. Requires nonsingular Gr.
-  std::vector<numerics::MatrixD> moments(int count) const;
-
-  /// Elmore delay -m1/m0 of one entry (first moment of the impulse
-  /// response; exact for RC trees, the classic first-order delay metric).
-  double elmore_delay(int output, int input) const;
-
-  /// Finite poles: -1 / mu for the eigenvalues mu of Gr^{-1} Cr with
-  /// |mu| > rel_tol * max|mu| (smaller mu correspond to modes pushed out
-  /// to infinity by the reduction and carry no dynamics).
-  std::vector<std::complex<double>> poles(double rel_tol = 1e-12) const;
-
-  /// True when every finite pole satisfies Re(p) <= slack * |p| — the
-  /// left-half-plane stability certificate PRIMA promises.
-  bool stable(double slack = 1e-9) const;
 
   /// Transient outputs on the same fixed time grid as the full MNA engine
   /// (t = 0, dt, ..., >= t_stop).
@@ -120,9 +86,6 @@ class ReducedModel {
   /// is skipped when every input is 0 at t = 0 (x0 is then exactly 0).
   Transient simulate(const std::vector<circuit::Waveform>& input_waves,
                      double t_stop_s, double dt_s) const;
-
-  /// Convenience: unit step on `input` at t = 0+, all other inputs zero.
-  Transient step_response(int input, double t_stop_s, double dt_s) const;
 
  private:
   numerics::MatrixD gr_, cr_, br_, lr_;

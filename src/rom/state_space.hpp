@@ -18,7 +18,7 @@
 // current-injection / voltage-sense pair at one node (positive current
 // flows into the node), which is what lets external driver and load
 // elements be re-attached to the reduced model afterwards
-// (ReducedModel::terminated).
+// (detail::fold_terminations, terminate_bare_bus).
 //
 // Scope: linear networks only — circuits containing MOSFETs are rejected
 // like circuit::ac_analysis.

@@ -46,8 +46,6 @@ ContentKey topology_drive_key(const char* schema,
       .add(drive.edge_time_s)
       .add(drive.receiver_load_f)
       .add(drive.mna.solver)
-      .add(drive.mna.sparse_threshold)
-      .add(drive.mna.ordering)
       .add(time_steps);
   return h.key();
 }
@@ -245,9 +243,11 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v5 (2026-10-19): the key drops the removed factor-kernel option,
       // and the linear bus factors once per analysis with a one-solve DC;
       // buses of 1024+ unknowns leave the blocked kernel's rounding.
+      // .v6 (2026-10-19): the key drops the removed sparse-threshold and
+      // ordering options; values are unchanged.
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusMna,
-          topology_drive_key("stage.bus-mna.v5", topology, drive,
+          topology_drive_key("stage.bus-mna.v6", topology, drive,
                              s.analysis.time_steps),
           [&] {
             const auto bare = cache_.get_or_compute<circuit::BusNetlist>(

@@ -226,6 +226,7 @@ TEST(Trace, JsonOutputSatisfiesTheStrictReader) {
 
   const auto root = cnti::service::parse_json(out.str());
   EXPECT_EQ(root.at("displayTimeUnit").as_string(), "ms");
+  EXPECT_GE(root.at("droppedEvents").as_number(), 0.0);
   const auto& events = root.at("traceEvents").as_array();
   ASSERT_GE(events.size(), 2u);
   bool saw_escaped = false;
@@ -240,6 +241,25 @@ TEST(Trace, JsonOutputSatisfiesTheStrictReader) {
   EXPECT_TRUE(saw_escaped) << "span names must be JSON-escaped, not dropped";
   // The embedded metrics side-car parses with the protocol inverse too.
   (void)cnti::service::metrics_snapshot_from_json(root.at("metrics"));
+}
+
+TEST(Trace, OverfilledRingReportsItsDropsInTheJson) {
+  // One thread writes 100 spans more than its 32,768-slot ring holds
+  // before the drain: the ring keeps the newest 32,768, and the trace
+  // file says how many fell off.
+  constexpr std::size_t kRingSlots = 32768;
+  constexpr std::size_t kExtra = 100;
+  obs::TraceSession session;
+  for (std::size_t i = 0; i < kRingSlots + kExtra; ++i) {
+    obs::ObsSpan span("test.flood", "engine");
+  }
+  std::ostringstream out;
+  session.write_json(out, /*include_metrics=*/false);
+
+  const auto root = cnti::service::parse_json(out.str());
+  EXPECT_EQ(root.at("droppedEvents").as_number(),
+            static_cast<double>(kExtra));
+  EXPECT_EQ(root.at("traceEvents").as_array().size(), kRingSlots);
 }
 
 TEST(Trace, TimingOnlyModeFeedsHistogramsWithoutARing) {

@@ -397,7 +397,6 @@ TEST(ScenarioEngine, BusConfigTopologyDriveRoundTripsEveryField) {
   c.edge_time_s = 12e-12;
   c.receiver_load_f = 0.13e-15;
   c.mna.solver = cir::SolverKind::kSparse;
-  c.mna.sparse_threshold = 123;
   const cir::BusConfig r = cir::make_bus_config(c.topology(), c.drive());
   EXPECT_EQ(r.line.series_resistance_ohm, c.line.series_resistance_ohm);
   EXPECT_EQ(r.line.resistance_per_m, c.line.resistance_per_m);
@@ -413,7 +412,6 @@ TEST(ScenarioEngine, BusConfigTopologyDriveRoundTripsEveryField) {
   EXPECT_EQ(r.edge_time_s, c.edge_time_s);
   EXPECT_EQ(r.receiver_load_f, c.receiver_load_f);
   EXPECT_EQ(r.mna.solver, c.mna.solver);
-  EXPECT_EQ(r.mna.sparse_threshold, c.mna.sparse_threshold);
 }
 
 TEST(ScenarioEngine, PrebuiltNetlistOverloadMatchesSingleShot) {

@@ -4,7 +4,8 @@
 // nesting are hard errors, not quirks), then checks the Chrome trace-event
 // contract the spans are supposed to satisfy:
 //
-//   - top level is {"displayTimeUnit", "traceEvents", ["metrics"]};
+//   - top level is {"displayTimeUnit", "droppedEvents", "traceEvents",
+//     ["metrics"]}, and droppedEvents is 0 (a lossy trace fails);
 //   - every event is a complete "X" (duration) event with name/cat/pid/tid
 //     and non-negative ts/dur;
 //   - optionally, that at least --min-events events exist and that every
@@ -86,14 +87,19 @@ int main(int argc, char** argv) {
   try {
     if (!root.is_object()) return fail("top level is not an object");
     for (const auto& [key, value] : root.as_object()) {
-      if (key != "displayTimeUnit" && key != "traceEvents" &&
-          key != "metrics") {
+      if (key != "displayTimeUnit" && key != "droppedEvents" &&
+          key != "traceEvents" && key != "metrics") {
         return fail("unexpected top-level member \"" + key + "\"");
       }
       (void)value;
     }
     if (root.at("displayTimeUnit").as_string() != "ms") {
       return fail("displayTimeUnit is not \"ms\"");
+    }
+    const double dropped = root.at("droppedEvents").as_number();
+    if (dropped != 0.0) {
+      return fail(std::to_string(static_cast<long long>(dropped)) +
+                  " events were dropped (a trace ring overflowed)");
     }
 
     const auto& events = root.at("traceEvents").as_array();
