@@ -32,25 +32,36 @@ namespace {
 
 using namespace cnti;
 
-circuit::BusConfig bus_config(int lines, int segments,
-                              circuit::SolverKind solver) {
-  circuit::BusConfig cfg;
-  cfg.line = core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 100e-6;
-  cfg.lines = lines;
-  cfg.segments = segments;
-  cfg.mna.solver = solver;
-  return cfg;
+circuit::BusTopology bus_topology(int lines, int segments) {
+  circuit::BusTopology t;
+  t.line = core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  t.coupling_cap_per_m = 30e-12;
+  t.length_m = 100e-6;
+  t.lines = lines;
+  t.segments = segments;
+  return t;
+}
+
+circuit::BusDrive solver_drive(circuit::SolverKind solver) {
+  circuit::BusDrive d;
+  d.mna.solver = solver;
+  return d;
+}
+
+circuit::BusCrosstalkResult run_bus(const circuit::BusTopology& topology,
+                                    const circuit::BusDrive& drive,
+                                    int steps) {
+  return circuit::analyze_bus_crosstalk(circuit::build_bus_netlist(topology),
+                                        topology, drive, steps);
 }
 
 double timed_bus_seconds(int lines, int segments,
                          circuit::SolverKind solver, int steps,
                          circuit::BusCrosstalkResult* result = nullptr) {
-  const circuit::BusConfig cfg = bus_config(lines, segments, solver);
+  const circuit::BusTopology topology = bus_topology(lines, segments);
   const auto t0 = std::chrono::steady_clock::now();
   const circuit::BusCrosstalkResult r =
-      circuit::analyze_bus_crosstalk(cfg, steps);
+      run_bus(topology, solver_drive(solver), steps);
   const auto t1 = std::chrono::steady_clock::now();
   if (result) *result = r;
   return std::chrono::duration<double>(t1 - t0).count();
@@ -148,14 +159,15 @@ void print_reproduction() {
                      " refactorizations, expected 2 and 0");
     // Factor fill of the bare-bus shifted pencil at the analysis corner
     // (the same pattern the transient's companion matrices share).
-    circuit::BusConfig cfg = bus_config(c.lines, c.segments,
-                                        circuit::SolverKind::kSparse);
+    const circuit::BusTopology topology = bus_topology(c.lines, c.segments);
     // One dummy port satisfies the extractor's inputs>0 contract; G and C
     // are independent of the port list.
     const rom::StateSpace ss = rom::extract_state_space(
-        circuit::build_bus_netlist(cfg).ckt,
+        circuit::build_bus_netlist(topology).ckt,
         {.ports = {{"p0", 1}}, .observe = {}, .include_sources = false});
-    const double s0 = 20.0 / circuit::bus_settle_time_s(cfg);
+    const double s0 =
+        20.0 / circuit::bus_settle_time_s(
+                   topology, solver_drive(circuit::SolverKind::kSparse));
     numerics::SparseBuilder pencil(ss.g.rows(), ss.g.rows());
     for (std::size_t row = 0; row < ss.g.rows(); ++row) {
       for (std::size_t t2 = ss.g.row_ptr()[row];
@@ -202,10 +214,10 @@ void print_reproduction() {
 void BM_SparseBusTransient(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   const int segments = static_cast<int>(state.range(1));
-  const circuit::BusConfig cfg =
-      bus_config(lines, segments, circuit::SolverKind::kSparse);
+  const circuit::BusTopology topology = bus_topology(lines, segments);
+  const circuit::BusDrive drive = solver_drive(circuit::SolverKind::kSparse);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::analyze_bus_crosstalk(cfg, 50));
+    benchmark::DoNotOptimize(run_bus(topology, drive, 50));
   }
 }
 BENCHMARK(BM_SparseBusTransient)
@@ -217,10 +229,10 @@ BENCHMARK(BM_SparseBusTransient)
 void BM_DenseBusTransient(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   const int segments = static_cast<int>(state.range(1));
-  const circuit::BusConfig cfg =
-      bus_config(lines, segments, circuit::SolverKind::kDense);
+  const circuit::BusTopology topology = bus_topology(lines, segments);
+  const circuit::BusDrive drive = solver_drive(circuit::SolverKind::kDense);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::analyze_bus_crosstalk(cfg, 50));
+    benchmark::DoNotOptimize(run_bus(topology, drive, 50));
   }
 }
 BENCHMARK(BM_DenseBusTransient)->Args({4, 16})->Unit(benchmark::kMillisecond);

@@ -47,14 +47,20 @@ constexpr int kLines = 16;
 constexpr int kSegments = 128;
 constexpr int kTimeSteps = 600;
 
-circuit::BusConfig paper_bus() {
-  circuit::BusConfig cfg;
-  cfg.line = core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 100e-6;
-  cfg.lines = kLines;
-  cfg.segments = kSegments;
-  return cfg;
+circuit::BusTopology paper_bus(int lines = kLines, int segments = kSegments) {
+  circuit::BusTopology t;
+  t.line = core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  t.coupling_cap_per_m = 30e-12;
+  t.length_m = 100e-6;
+  t.lines = lines;
+  t.segments = segments;
+  return t;
+}
+
+circuit::BusCrosstalkResult full_mna(const circuit::BusTopology& topology,
+                                     const circuit::BusDrive& drive) {
+  return circuit::analyze_bus_crosstalk(circuit::build_bus_netlist(topology),
+                                        topology, drive, kTimeSteps);
 }
 
 /// 10 x 10 driver-strength x receiver-load grid (the scenario sweep).
@@ -102,14 +108,11 @@ void print_reduction_ladder() {
   bool band_wins_everywhere = true;
   for (const Rung r : {Rung{16, 64, 20}, Rung{16, 128, 10},
                        Rung{32, 640, 3}, Rung{64, 1024, 2}}) {
-    circuit::BusConfig cfg = paper_bus();
-    cfg.lines = r.lines;
-    cfg.segments = r.segments;
-    const circuit::BusDrive drive = cfg.drive();
-    const rom::StateSpace ss = rom::terminate_bus(
-        rom::extract_bus_state_space(cfg.topology()), drive);
-    const double s0 =
-        20.0 / circuit::bus_settle_time_s(cfg.topology(), drive);
+    const circuit::BusTopology topology = paper_bus(r.lines, r.segments);
+    const circuit::BusDrive drive;
+    const rom::StateSpace ss =
+        rom::terminate_bus(rom::stamp_bus(topology), drive);
+    const double s0 = 20.0 / circuit::bus_settle_time_s(topology, drive);
     numerics::SparseBuilder kb(ss.g.rows(), ss.g.cols());
     for (const auto& [m, scale] :
          {std::pair{&ss.g, 1.0}, std::pair{&ss.c, s0}}) {
@@ -224,12 +227,12 @@ void print_reproduction() {
       ">= 10x speedup is reported, not gated.");
   bench::json().set_name("bench_rom_scaling");
 
-  const circuit::BusConfig cfg = paper_bus();
+  const circuit::BusTopology topology = paper_bus();
   const core::SweepGrid grid = scenario_grid();
 
   // --- ROM path: one reduction, then 100 cheap evaluations. --------------
   const auto t_reduce0 = std::chrono::steady_clock::now();
-  const rom::ParametrizedBusRom bus(cfg.topology(), rom::BusTechBox{});
+  const rom::ParametrizedBusRom bus(topology, rom::BusTechBox{});
   const double t_reduce = seconds_since(t_reduce0);
 
   const auto t_rom0 = std::chrono::steady_clock::now();
@@ -249,10 +252,10 @@ void print_reproduction() {
   int full_unknowns = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto p = grid.point(i);
-    circuit::BusConfig point_cfg = cfg;
-    point_cfg.driver_ohm = p.at("driver_ohm");
-    point_cfg.receiver_load_f = p.at("load_f");
-    full_results[i] = circuit::analyze_bus_crosstalk(point_cfg, kTimeSteps);
+    circuit::BusDrive drive;
+    drive.driver_ohm = p.at("driver_ohm");
+    drive.receiver_load_f = p.at("load_f");
+    full_results[i] = full_mna(topology, drive);
     full_unknowns = full_results[i].unknowns;
   }
   const double t_full = seconds_since(t_full0);
@@ -306,17 +309,16 @@ void print_reproduction() {
 }
 
 void BM_PrimaReduceBus(benchmark::State& state) {
-  const circuit::BusConfig cfg = paper_bus();
+  const circuit::BusTopology topology = paper_bus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rom::ParametrizedBusRom(cfg.topology(), rom::BusTechBox{}));
+        rom::ParametrizedBusRom(topology, rom::BusTechBox{}));
   }
 }
 BENCHMARK(BM_PrimaReduceBus)->Unit(benchmark::kMillisecond);
 
 void BM_RomScenarioEvaluate(benchmark::State& state) {
-  const rom::ParametrizedBusRom bus(paper_bus().topology(),
-                                    rom::BusTechBox{});
+  const rom::ParametrizedBusRom bus(paper_bus(), rom::BusTechBox{});
   rom::BusScenario sc;
   sc.driver_ohm = 2e3;
   sc.receiver_load_f = 0.5e-15;
@@ -327,11 +329,12 @@ void BM_RomScenarioEvaluate(benchmark::State& state) {
 BENCHMARK(BM_RomScenarioEvaluate)->Unit(benchmark::kMillisecond);
 
 void BM_FullMnaScenario(benchmark::State& state) {
-  circuit::BusConfig cfg = paper_bus();
-  cfg.driver_ohm = 2e3;
-  cfg.receiver_load_f = 0.5e-15;
+  const circuit::BusTopology topology = paper_bus();
+  circuit::BusDrive drive;
+  drive.driver_ohm = 2e3;
+  drive.receiver_load_f = 0.5e-15;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::analyze_bus_crosstalk(cfg, kTimeSteps));
+    benchmark::DoNotOptimize(full_mna(topology, drive));
   }
 }
 BENCHMARK(BM_FullMnaScenario)->Unit(benchmark::kMillisecond)->Iterations(3);

@@ -22,24 +22,23 @@ void print_reproduction() {
       "Every row computed from the library's models; paper values quoted "
       "for comparison.");
 
+  const double cu_ua = units::to_uA(core::cu_max_current(100e-9, 50e-9));
+  const double cnt_ua = units::to_uA(core::cnt_max_current(1e-9));
+  const double cnts_to_match = core::cnts_to_match_cu_current(100e-9, 50e-9);
+  const double density_ratio = core::ampacity_advantage();
+  const double k_adv_lo = core::thermal_advantage(0.0);
+  const double k_adv_hi = core::thermal_advantage(1.0);
   Table t({"quantity", "this work", "paper"});
-  t.add_row({"Cu 100x50 nm max current [uA]",
-             Table::num(units::to_uA(core::cu_max_current(100e-9, 50e-9)),
-                        3),
-             "~50"});
-  t.add_row({"1 nm CNT max current [uA]",
-             Table::num(units::to_uA(core::cnt_max_current(1e-9)), 3),
-             "20-25"});
-  t.add_row({"CNTs to match the Cu line",
-             Table::num(core::cnts_to_match_cu_current(100e-9, 50e-9), 3),
+  t.add_row({"Cu 100x50 nm max current [uA]", Table::num(cu_ua, 3), "~50"});
+  t.add_row({"1 nm CNT max current [uA]", Table::num(cnt_ua, 3), "20-25"});
+  t.add_row({"CNTs to match the Cu line", Table::num(cnts_to_match, 3),
              "a few"});
   t.add_row({"CNT/Cu max current density ratio",
-             Table::num(core::ampacity_advantage(), 4), "1e9/1e6 = 1000"});
+             Table::num(density_ratio, 4), "1e9/1e6 = 1000"});
   t.add_row({"CNT bundle k_th [W/mK]", "3000-10000 (quality 0..1)",
              "3000-10000"});
   t.add_row({"k_th advantage over Cu",
-             Table::num(core::thermal_advantage(0.0), 3) + " - " +
-                 Table::num(core::thermal_advantage(1.0), 3),
+             Table::num(k_adv_lo, 3) + " - " + Table::num(k_adv_hi, 3),
              "7.8 - 26"});
 
   materials::CuLineSpec cu;
@@ -54,6 +53,24 @@ void print_reproduction() {
   t.add_row({"min CNT density, 1/3 metallic [nm^-2]",
              Table::num(density_mixed * 1e-18, 3), "3x the above"});
   t.print(std::cout);
+  std::cout << "\nNot gated: the metallic-only density row disagrees "
+               "with the ITRS 0.096 nm^-2 figure.\n";
+
+  // Every row that reproduces the paper is gated.
+  bench::check(std::abs(cu_ua - 50.0) <= 0.01 * 50.0,
+               "Cu 100x50 nm max current off 50 uA by more than 1%");
+  bench::check(cnt_ua >= 20.0 && cnt_ua <= 25.0,
+               "1 nm CNT max current outside 20-25 uA");
+  bench::check(cnts_to_match >= 1.0 && cnts_to_match <= 5.0,
+               "CNTs to match the Cu line outside 'a few' (1-5)");
+  bench::check(std::abs(density_ratio - 1000.0) <= 1e-9 * 1000.0,
+               "CNT/Cu max current density ratio is not 1000");
+  bench::check(std::abs(k_adv_lo - 7.8) <= 0.01 * 7.8 &&
+                   std::abs(k_adv_hi - 26.0) <= 0.01 * 26.0,
+               "k_th advantage off 7.8-26 by more than 1%");
+  bench::check(std::abs(density_mixed - 3.0 * density) <=
+                   1e-12 * 3.0 * density,
+               "1/3-metallic density is not 3x the metallic-only density");
 
   // Thermal back-up: identical 1 um lines at 20 uA, CNT vs Cu k_th.
   thermal::LineThermalSpec line;

@@ -87,13 +87,15 @@ int main() {
              "noise doped [mV]"});
   {
     const auto bus_noise = [&](double nc, int* unknowns, int* victim) {
-      circuit::BusConfig cfg;
-      cfg.line = core::make_paper_mwcnt(10, nc, 20e3).rlc();
-      cfg.coupling_cap_per_m = 30e-12;
-      cfg.length_m = 100e-6;
-      cfg.lines = 16;
-      cfg.segments = 128;  // kAuto routes this to the sparse backend
-      const auto r = circuit::analyze_bus_crosstalk(cfg, 600);
+      circuit::BusTopology topology;
+      topology.line = core::make_paper_mwcnt(10, nc, 20e3).rlc();
+      topology.coupling_cap_per_m = 30e-12;
+      topology.length_m = 100e-6;
+      topology.lines = 16;
+      topology.segments = 128;  // kAuto routes this to the sparse backend
+      const auto r = circuit::analyze_bus_crosstalk(
+          circuit::build_bus_netlist(topology), topology,
+          circuit::BusDrive{}, 600);
       *unknowns = r.unknowns;
       *victim = r.worst_victim;
       return r.peak_noise_v * 1e3;

@@ -60,22 +60,6 @@ PulseWave bus_edge_wave(double vdd_v, double edge_time_s) {
   return pulse;
 }
 
-BusConfig make_bus_config(const BusTopology& topology, const BusDrive& drive) {
-  BusConfig cfg;
-  cfg.line = topology.line;
-  cfg.coupling_cap_per_m = topology.coupling_cap_per_m;
-  cfg.length_m = topology.length_m;
-  cfg.lines = topology.lines;
-  cfg.segments = topology.segments;
-  cfg.aggressor = drive.aggressor;
-  cfg.driver_ohm = drive.driver_ohm;
-  cfg.vdd_v = drive.vdd_v;
-  cfg.edge_time_s = drive.edge_time_s;
-  cfg.receiver_load_f = drive.receiver_load_f;
-  cfg.mna = drive.mna;
-  return cfg;
-}
-
 double bus_settle_time_s(const BusTopology& topology, const BusDrive& drive) {
   // A middle line sees neighbour coupling on both sides.
   const double r_total = drive.driver_ohm +
@@ -89,10 +73,6 @@ double bus_settle_time_s(const BusTopology& topology, const BusDrive& drive) {
           topology.length_m +
       drive.receiver_load_f;
   return settle_time_s(r_total, c_total, drive.edge_time_s);
-}
-
-double bus_settle_time_s(const BusConfig& cfg) {
-  return bus_settle_time_s(cfg.topology(), cfg.drive());
 }
 
 CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
@@ -180,10 +160,6 @@ CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
   out.aggressor_delay_s = delay_or_nan(numerics::first_crossing_time(
       t, res.voltage(agg_far), cfg.vdd_v / 2.0, /*rising=*/true));
   return out;
-}
-
-BusNetlist build_bus_netlist(const BusConfig& cfg) {
-  return build_bus_netlist(cfg.topology());
 }
 
 BusNetlist build_bus_netlist(const BusTopology& cfg) {
@@ -322,13 +298,6 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
       t, res.voltage(far[static_cast<std::size_t>(agg)]), drive.vdd_v / 2.0,
       /*rising=*/true));
   return out;
-}
-
-BusCrosstalkResult analyze_bus_crosstalk(const BusConfig& cfg,
-                                         int time_steps) {
-  const BusTopology topology = cfg.topology();
-  return analyze_bus_crosstalk(build_bus_netlist(topology), topology,
-                               cfg.drive(), time_steps);
 }
 
 }  // namespace cnti::circuit

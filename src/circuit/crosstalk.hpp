@@ -69,31 +69,6 @@ struct BusDrive {
   MnaOptions mna{};                     ///< Backend routing (kAuto -> sparse).
 };
 
-/// Flat topology + drive bundle (the historical single-shot interface).
-struct BusConfig {
-  core::LineRlc line;                   ///< Per-line RC(L) model.
-  double coupling_cap_per_m = 20e-12;   ///< Neighbour coupling [F/m].
-  double length_m = 100e-6;
-  int lines = 16;
-  int segments = 64;
-  int aggressor = -1;                   ///< Switching line; -1 = centre.
-  double driver_ohm = 5e3;              ///< Every line's driver resistance.
-  double vdd_v = 1.0;
-  double edge_time_s = 20e-12;
-  double receiver_load_f = 0.2e-15;     ///< Input load at every far end.
-  MnaOptions mna{};                     ///< Backend routing (kAuto -> sparse).
-
-  BusTopology topology() const {
-    return {line, coupling_cap_per_m, length_m, lines, segments};
-  }
-  BusDrive drive() const {
-    return {aggressor, driver_ohm, vdd_v, edge_time_s, receiver_load_f, mna};
-  }
-};
-
-/// Recomposes a flat config; make_bus_config(c.topology(), c.drive()) == c.
-BusConfig make_bus_config(const BusTopology& topology, const BusDrive& drive);
-
 struct BusCrosstalkResult {
   double peak_noise_v = 0.0;       ///< Worst victim far-end noise.
   double peak_time_s = 0.0;
@@ -105,37 +80,31 @@ struct BusCrosstalkResult {
   int unknowns = 0;                ///< MNA system size actually solved.
 };
 
-/// Builds the N-line coupled bus, runs the MNA transient and scans every
-/// victim far end for the worst-case coupled noise.
-BusCrosstalkResult analyze_bus_crosstalk(const BusConfig& config,
-                                         int time_steps = 1500);
-
 /// Bare N-line coupled bus: the ladders and their neighbour coupling only —
 /// no stimulus source, driver resistors or receiver loads. head[l]/far[l]
 /// are the driver-side and receiver-side terminals of line l, which is
-/// where analyze_bus_crosstalk attaches its terminations and where the ROM
-/// layer places its ports (reduce the bare bus once, re-attach
-/// driver/load scenarios to the reduced model).
+/// where analyze_bus_crosstalk attaches its terminations. The ROM layer's
+/// rom::stamp_bus writes the same bus straight into matrices, in this
+/// node order; this netlist is its test oracle.
 struct BusNetlist {
   Circuit ckt;
   std::vector<NodeId> head;
   std::vector<NodeId> far;
-  /// The topology this netlist was built from. The prebuilt-netlist
-  /// analyze_bus_crosstalk overload checks it field-for-field, so a
+  /// The topology this netlist was built from. analyze_bus_crosstalk
+  /// checks it field-for-field, so a
   /// cached netlist can never be silently paired with a different
   /// topology's window/measurement parameters.
   BusTopology topology;
 };
 
 BusNetlist build_bus_netlist(const BusTopology& topology);
-BusNetlist build_bus_netlist(const BusConfig& config);
 
-/// Cache-aware variant: runs one drive scenario against a copy of a
-/// *prebuilt* bare bus netlist of `topology` (taken by value: pass `bare`
-/// to copy, std::move(bare) to consume). One build — typically held in
-/// the scenario engine's memo cache — serves any number of drive
-/// scenarios, and each result is bit-identical to the single-shot
-/// overload of the matching flat config.
+/// Attaches one drive scenario to a *prebuilt* bare bus netlist of
+/// `topology` (taken by value: pass `bare` to copy, std::move(bare) to
+/// consume), runs the MNA transient and scans every victim far end for
+/// the worst-case coupled noise. One build — typically held in the
+/// scenario engine's memo cache — serves any number of drive scenarios;
+/// a single shot passes build_bus_netlist(topology).
 BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
                                          const BusTopology& topology,
                                          const BusDrive& drive,
@@ -150,7 +119,6 @@ PulseWave bus_edge_wave(double vdd_v, double edge_time_s);
 /// coupling) capacitance plus the receiver load, floored at 20 edge
 /// times. Exposed so reduced-model evaluations run on the exact same grid
 /// as the full transient.
-double bus_settle_time_s(const BusConfig& config);
 double bus_settle_time_s(const BusTopology& topology, const BusDrive& drive);
 
 }  // namespace cnti::circuit

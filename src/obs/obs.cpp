@@ -71,6 +71,14 @@ struct Ring {
   std::array<Slot, kRingCapacity> slots{};
 };
 
+/// An open trace sink — the CNTI_TRACE file (no owner) or a TraceSession —
+/// and the drained events that started at or after it opened.
+struct Sink {
+  const void* owner = nullptr;
+  std::uint64_t epoch_ns = 0;
+  std::vector<TraceEvent> events;
+};
+
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 struct MetricInfo {
@@ -89,6 +97,7 @@ struct Global {
   std::array<std::uint64_t, kMaxCells> retired_cells{};
   std::vector<Shard*> live_shards;
   std::vector<Ring*> rings;  // live + retired, drained under mu
+  std::vector<Sink> sinks;   // open trace sinks, under mu
   std::array<std::atomic<std::uint64_t>, kMaxGauges> gauges{};
   std::vector<std::unique_ptr<std::string>> interned;
   std::map<std::string, const char*, std::less<>> intern_index;
@@ -167,7 +176,7 @@ void ring_write(Ring& ring, const char* name, const char* tier,
   ring.head.store(h + 1, std::memory_order_release);
 }
 
-void drain_ring(Ring& ring, std::vector<TraceEvent>* out,
+void drain_ring(Ring& ring, std::vector<TraceEvent>& out,
                 std::uint64_t* dropped) {
   const std::uint64_t head = ring.head.load(std::memory_order_acquire);
   std::uint64_t lo = ring.drained.load(std::memory_order_relaxed);
@@ -175,34 +184,31 @@ void drain_ring(Ring& ring, std::vector<TraceEvent>* out,
     *dropped += (head - kRingCapacity) - lo;
     lo = head - kRingCapacity;
   }
-  if (out != nullptr) {
-    for (std::uint64_t i = lo; i < head; ++i) {
-      const Slot& slot = ring.slots[i % kRingCapacity];
-      const std::uint64_t stable = 2 * i + 2;
-      if (slot.seq.load(std::memory_order_acquire) != stable) continue;
-      TraceEvent ev;
-      ev.name = slot.name.load(std::memory_order_relaxed);
-      ev.tier = slot.tier.load(std::memory_order_relaxed);
-      ev.t0_ns = slot.t0.load(std::memory_order_relaxed);
-      ev.dur_ns = slot.dur.load(std::memory_order_relaxed);
-      ev.tid = ring.tid;
-      if (slot.seq.load(std::memory_order_relaxed) != stable) continue;
-      out->push_back(ev);
-    }
+  for (std::uint64_t i = lo; i < head; ++i) {
+    const Slot& slot = ring.slots[i % kRingCapacity];
+    const std::uint64_t stable = 2 * i + 2;
+    if (slot.seq.load(std::memory_order_acquire) != stable) continue;
+    TraceEvent ev;
+    ev.name = slot.name.load(std::memory_order_relaxed);
+    ev.tier = slot.tier.load(std::memory_order_relaxed);
+    ev.t0_ns = slot.t0.load(std::memory_order_relaxed);
+    ev.dur_ns = slot.dur.load(std::memory_order_relaxed);
+    ev.tid = ring.tid;
+    if (slot.seq.load(std::memory_order_relaxed) != stable) continue;
+    out.push_back(ev);
   }
   ring.drained.store(head, std::memory_order_relaxed);
 }
 
-/// Drain every ring (collecting into a sorted list when `collect`), delete
-/// rings whose owner thread has exited, and fold the drop count.
-std::vector<TraceEvent> drain_all(bool collect) {
-  Global& gl = g();
-  const std::lock_guard<std::mutex> lock(gl.mu);
-  std::vector<TraceEvent> out;
+/// Drain every ring into every open sink, so no sink loses the spans
+/// another one drained; delete rings whose owner thread has exited and
+/// fold the drop count. The caller holds gl.mu.
+void drain_to_sinks(Global& gl) {
+  std::vector<TraceEvent> events;
   std::uint64_t dropped_local = 0;
   for (auto it = gl.rings.begin(); it != gl.rings.end();) {
     Ring* ring = *it;
-    drain_ring(*ring, collect ? &out : nullptr, &dropped_local);
+    drain_ring(*ring, events, &dropped_local);
     if (ring->retired.load(std::memory_order_relaxed)) {
       delete ring;
       it = gl.rings.erase(it);
@@ -211,6 +217,22 @@ std::vector<TraceEvent> drain_all(bool collect) {
     }
   }
   gl.dropped.fetch_add(dropped_local, std::memory_order_relaxed);
+  for (Sink& sink : gl.sinks) {
+    for (const TraceEvent& ev : events) {
+      if (ev.t0_ns >= sink.epoch_ns) sink.events.push_back(ev);
+    }
+  }
+}
+
+/// Drains, closes `owner`'s sink and returns its events sorted by start.
+std::vector<TraceEvent> close_sink(const void* owner) {
+  Global& gl = g();
+  const std::lock_guard<std::mutex> lock(gl.mu);
+  drain_to_sinks(gl);
+  const auto it = std::find_if(gl.sinks.begin(), gl.sinks.end(),
+                               [&](const Sink& s) { return s.owner == owner; });
+  std::vector<TraceEvent> out = std::move(it->events);
+  gl.sinks.erase(it);
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.t0_ns != b.t0_ns) return a.t0_ns < b.t0_ns;
@@ -477,11 +499,16 @@ void span_end(const char* name, const char* tier, std::uint64_t t0,
 // Trace sessions
 // ---------------------------------------------------------------------------
 
-TraceSession::TraceSession() : epoch_ns_(now_ns()) {
+TraceSession::TraceSession() {
+  Global& gl = g();
+  const std::lock_guard<std::mutex> lock(gl.mu);
+  // Events recorded so far belong to the sinks already open (or to none).
+  drain_to_sinks(gl);
+  epoch_ns_ = now_ns();
+  gl.sinks.push_back({this, epoch_ns_, {}});
   if (detail::g_trace_level.fetch_add(1, std::memory_order_relaxed) == 0) {
-    g().epoch_ns.store(epoch_ns_, std::memory_order_relaxed);
-    drain_all(/*collect=*/false);  // discard events from earlier sessions
-    g().dropped_at_epoch.store(dropped_events(), std::memory_order_relaxed);
+    gl.epoch_ns.store(epoch_ns_, std::memory_order_relaxed);
+    gl.dropped_at_epoch.store(dropped_events(), std::memory_order_relaxed);
   }
 }
 
@@ -492,8 +519,9 @@ TraceSession::~TraceSession() {
 std::vector<TraceEvent> TraceSession::stop() {
   if (stopped_) return {};
   stopped_ = true;
+  std::vector<TraceEvent> events = close_sink(this);
   detail::g_trace_level.fetch_sub(1, std::memory_order_relaxed);
-  return drain_all(/*collect=*/true);
+  return events;
 }
 
 void TraceSession::write_json(std::ostream& out, bool include_metrics) {
@@ -533,7 +561,7 @@ void write_trace_json(std::ostream& out, const std::vector<TraceEvent>& events,
 namespace {
 
 void write_env_trace_at_exit() {
-  const std::vector<TraceEvent> events = drain_all(/*collect=*/true);
+  const std::vector<TraceEvent> events = close_sink(nullptr);
   std::string path = g().env_path;
   const std::size_t pos = path.find("%p");
   if (pos != std::string::npos) {
@@ -550,7 +578,9 @@ struct EnvTraceSession {
     const char* path = std::getenv("CNTI_TRACE");
     if (path == nullptr || *path == '\0') return;
     Global& gl = g();
+    const std::lock_guard<std::mutex> lock(gl.mu);
     gl.env_path = path;
+    gl.sinks.push_back({nullptr, 0, {}});
     gl.epoch_ns.store(now_ns(), std::memory_order_relaxed);
     detail::g_trace_level.fetch_add(1, std::memory_order_relaxed);
     std::atexit(&write_env_trace_at_exit);

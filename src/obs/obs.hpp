@@ -201,8 +201,10 @@ class ObsSpan {
 
 /// Programmatic trace capture. Construction enables tracing (stacking on
 /// top of an env session if one is active); stop() disables this session's
-/// reference and drains every thread ring — including rings retired by
-/// exited threads — into a sorted event list.
+/// reference, drains every thread ring — including rings retired by
+/// exited threads — and returns the spans that started after the session
+/// opened as a sorted event list. A drain hands its events to every open
+/// sink, so the CNTI_TRACE file and other live sessions keep theirs too.
 class TraceSession {
  public:
   TraceSession();

@@ -13,6 +13,10 @@
 
 namespace cnti::rom::detail {
 
+/// Node-to-ground conductance on every extracted or stamped node: the MNA
+/// and AC engines' g_min, so reduced models line up with ac_analysis.
+inline constexpr double kGminFloor = 1e-12;
+
 /// Index of `name` in `names`; throws PreconditionError naming the calling
 /// context and the kind of thing looked up.
 inline int find_name_index(const std::vector<std::string>& names,
@@ -64,19 +68,14 @@ inline void axpy_rows(const double* a, const double* rows, std::size_t stride,
   for (; k < count; ++k) axpy(a[k], rows + k * stride, y, n);
 }
 
-/// Congruence projection of a descriptor system onto an orthonormal basis
-/// V (q columns of length n): V^T G V, V^T C V, V^T B, V^T L.
-struct Projection {
-  numerics::MatrixD g, c, b, l;
-};
+/// V^T A V for an orthonormal basis V (q columns of length n), blocked
+/// but bitwise equal to the column-by-column matvec + dot.
+numerics::MatrixD project_matrix(const numerics::SparseMatrix& a,
+                                 const std::vector<std::vector<double>>& basis);
 
-/// Blocked form of the projection: W = G V is built a block of rows at a
-/// time, V^T W accumulates as row axpys over the rows of each block, and
-/// B/L are summed over their nonzeros only. Every entry adds the same
-/// products in the same order as the column-by-column matvec + dot it
-/// replaced, so the result is bitwise equal to it.
-Projection project(const StateSpace& ss,
-                   const std::vector<std::vector<double>>& basis);
+/// V^T M for a port map M, summed over its nonzeros only.
+numerics::MatrixD project_ports(const numerics::MatrixD& m,
+                                const std::vector<std::vector<double>>& basis);
 
 /// Folds shunt port terminations into g and c (q x q) as the rank-1
 /// congruence updates g += gs b l^T, c += cs b l^T, one row axpy per

@@ -1,5 +1,6 @@
 #include "rom/interconnect_rom.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -19,48 +20,6 @@ using circuit::BusCrosstalkResult;
 using numerics::MatrixD;
 using numerics::SparseMatrix;
 
-/// `a` with `value` added to the diagonal entry of every row in `states`,
-/// merged into the sorted rows: a diagonal the pattern lacks is inserted
-/// at its column position. A zero value stamps nothing.
-SparseMatrix add_to_diagonals(const SparseMatrix& a,
-                              const std::vector<std::size_t>& states,
-                              double value) {
-  if (value == 0.0) return a;
-  const std::size_t n = a.rows();
-  std::vector<char> stamped(n, 0);
-  for (const std::size_t s : states) stamped[s] = 1;
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::size_t> col;
-  std::vector<double> val;
-  col.reserve(a.nnz() + states.size());
-  val.reserve(a.nnz() + states.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    bool pending = stamped[r] != 0;
-    for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
-      const std::size_t c = a.col_indices()[t];
-      if (pending && c >= r) {
-        pending = false;
-        if (c == r) {
-          col.push_back(c);
-          val.push_back(a.values()[t] + value);
-          continue;
-        }
-        col.push_back(r);
-        val.push_back(value);
-      }
-      col.push_back(c);
-      val.push_back(a.values()[t]);
-    }
-    if (pending) {
-      col.push_back(r);
-      val.push_back(value);
-    }
-    row_ptr[r + 1] = col.size();
-  }
-  return SparseMatrix(n, a.cols(), std::move(row_ptr), std::move(col),
-                      std::move(val));
-}
-
 int resolve_aggressor(const circuit::BusTopology& topology,
                       const circuit::BusDrive& drive) {
   const int agg = drive.aggressor < 0 ? topology.lines / 2 : drive.aggressor;
@@ -68,37 +27,118 @@ int resolve_aggressor(const circuit::BusTopology& topology,
   return agg;
 }
 
+/// State layout and element values of a bus, in build_bus_netlist's node
+/// order: heads, contact nodes when the line has series resistance, the
+/// ladder segment-major, the far ends. Every series element joins states
+/// exactly `nl` apart, every coupling capacitor neighbours in one segment.
+struct Layout {
+  explicit Layout(const circuit::BusTopology& t)
+      : nl(static_cast<std::size_t>(t.lines)),
+        ladder(t.line.series_resistance_ohm > 0 ? 2 * nl : nl),
+        far(ladder + static_cast<std::size_t>(t.segments) * nl),
+        n(far + nl),
+        g_seg(1.0 / (t.line.resistance_per_m * t.length_m / t.segments)),
+        c_seg(t.line.capacitance_per_m * t.length_m / t.segments),
+        cc_seg(t.coupling_cap_per_m * t.length_m / t.segments),
+        g_end(ladder > nl ? 1.0 / (t.line.series_resistance_ohm / 2.0)
+                          : 1.0) {}
+
+  /// Whether states a and a + 1 share a coupling capacitor.
+  bool coupled(std::size_t a) const {
+    return a >= ladder && a + 1 < far && (a - ladder) % nl != nl - 1;
+  }
+
+  std::size_t nl, ladder, far, n;
+  /// Segment conductance and capacitances; g_end is a contact resistor's
+  /// conductance, or the 1 Ohm far stub's of a contact-free line.
+  double g_seg, c_seg, cc_seg, g_end;
+};
+
+/// Sorted CSR of a symmetric stamp: ground(r) to ground at every state,
+/// plus element(a) between a and a + d wherever joins(a).
+template <typename Joins, typename Element, typename Ground>
+SparseMatrix stamp_csr(std::size_t n, std::size_t d, Joins joins,
+                       Element element, Ground ground) {
+  std::vector<std::size_t> row_ptr(n + 1, 0), col;
+  std::vector<double> val;
+  col.reserve(3 * n);
+  val.reserve(3 * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const bool lo = r >= d && joins(r - d), hi = joins(r);
+    const double x_lo = lo ? element(r - d) : 0.0;
+    const double x_hi = hi ? element(r) : 0.0;
+    if (lo) {
+      col.push_back(r - d);
+      val.push_back(-x_lo);
+    }
+    col.push_back(r);
+    val.push_back(ground(r) + x_lo + x_hi);
+    if (hi) {
+      col.push_back(r + d);
+      val.push_back(-x_hi);
+    }
+    row_ptr[r + 1] = col.size();
+  }
+  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
+                      std::move(val));
+}
+
 }  // namespace
 
-BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology) {
-  const circuit::BusNetlist bus = circuit::build_bus_netlist(topology);
-  // Every head is a port so the extraction has inputs; only G and C are
-  // kept.
-  StateSpaceOptions ss_opt;
-  ss_opt.include_sources = false;  // the bare bus has none
-  for (int l = 0; l < topology.lines; ++l) {
-    ss_opt.ports.push_back(
-        {"head" + std::to_string(l), bus.head[static_cast<std::size_t>(l)]});
-  }
-  StateSpace ss = extract_state_space(bus.ckt, ss_opt);
+BusTheta bus_theta(const BusTechPoint& p, double driver_siemens,
+                   double load_f) {
+  return {1.0, 1.0 / p.resistance_scale, driver_siemens,
+          p.capacitance_scale, p.coupling_scale, load_f};
+}
+
+SparseMatrix BusStateSpace::g(const BusTheta& t) const {
+  const Layout b(topology);
+  return stamp_csr(
+      b.n, b.nl, [&](std::size_t a) { return a + b.nl < b.n; },
+      [&](std::size_t a) {  // the series element from a to a + nl
+        if (a + b.nl < b.ladder) return t[0] * b.g_end;  // head contact
+        return a < b.far - b.nl ? t[1] * b.g_seg : t[0] * b.g_end;
+      },
+      [&](std::size_t r) {
+        return t[0] * detail::kGminFloor + (r < b.nl ? t[2] : 0.0);
+      });
+}
+
+SparseMatrix BusStateSpace::c(const BusTheta& t) const {
+  const Layout b(topology);
+  return stamp_csr(
+      b.n, 1, [&](std::size_t a) { return b.coupled(a); },
+      [&](std::size_t) { return t[4] * b.cc_seg; },
+      [&](std::size_t r) {
+        return r >= b.far ? t[5] : r >= b.ladder ? t[3] * b.c_seg : 0.0;
+      });
+}
+
+BusStateSpace stamp_bus(const circuit::BusTopology& topology) {
+  CNTI_EXPECTS(topology.lines >= 2, "need at least two lines");
+  CNTI_EXPECTS(topology.segments >= 2, "need at least two segments");
+  CNTI_EXPECTS(topology.length_m > 0, "length must be positive");
+  CNTI_EXPECTS(topology.coupling_cap_per_m >= 0, "coupling must be >= 0");
+  CNTI_EXPECTS(topology.line.resistance_per_m > 0,
+               "line resistance must be positive");
+  CNTI_EXPECTS(topology.line.capacitance_per_m >= 0,
+               "line capacitance must be >= 0");
+  const Layout b(topology);
   BusStateSpace out;
   out.topology = topology;
-  out.g = std::move(ss.g);
-  out.c = std::move(ss.c);
-  for (int l = 0; l < topology.lines; ++l) {
-    out.head_states.push_back(
-        static_cast<std::size_t>(bus.head[static_cast<std::size_t>(l)] - 1));
-    out.far_states.push_back(
-        static_cast<std::size_t>(bus.far[static_cast<std::size_t>(l)] - 1));
+  for (std::size_t l = 0; l < b.nl; ++l) {
+    out.head_states.push_back(l);
+    out.far_states.push_back(b.far + l);
   }
   return out;
 }
 
 StateSpace bare_bus_ports(const BusStateSpace& bare) {
   const std::size_t nl = bare.head_states.size();
+  const BusTheta theta = bus_theta({}, 0.0, 0.0);
   StateSpace ss;
-  ss.g = bare.g;
-  ss.c = bare.c;
+  ss.g = bare.g(theta);
+  ss.c = bare.c(theta);
   ss.nodes = ss.size = bare.size();
   const std::size_t n = static_cast<std::size_t>(ss.size);
   ss.b = MatrixD(n, 2 * nl);
@@ -124,8 +164,10 @@ StateSpace terminate_bus(const BusStateSpace& bare,
   const int agg = resolve_aggressor(bare.topology, drive);
   const std::size_t nl = bare.far_states.size();
   StateSpace ss;
-  ss.g = add_to_diagonals(bare.g, bare.head_states, 1.0 / drive.driver_ohm);
-  ss.c = add_to_diagonals(bare.c, bare.far_states, drive.receiver_load_f);
+  const BusTheta theta =
+      bus_theta({}, 1.0 / drive.driver_ohm, drive.receiver_load_f);
+  ss.g = bare.g(theta);
+  ss.c = bare.c(theta);
   ss.nodes = ss.size = bare.size();
   const std::size_t n = static_cast<std::size_t>(ss.size);
   ss.b = MatrixD(n, 1);

@@ -1,19 +1,21 @@
 // ROM-accelerated coupled-bus crosstalk: the fast path behind
 // analyze_bus_crosstalk-style design-space sweeps. The bare N-line bus
-// (ladders + coupling, no drivers/loads) is extracted once per topology
-// as a descriptor system (BusStateSpace). Each drive then terminates that
-// system — a driver conductance at every head, a receiver load at every
-// far end — and reduces it as a one-input system (current into the
-// aggressor head, far ends observed), so a handful of Krylov vectors
-// capture the response that a bare 2N-port reduction needs blocks of 2N
-// columns per moment for. The Thevenin aggressor driver enters as its
-// Norton equivalent and the whole transient runs on the small system, on
-// the identical stimulus and time grid as the sparse-MNA transient.
+// (ladders + coupling) is an affine stamp (BusStateSpace): the G/C of any
+// drive, corner or sample is the sum of six components weighted by the
+// technology scales and the drive. Each drive terminates the bus — a
+// driver conductance at every head, a receiver load at every far end —
+// and reduces it as a one-input system (current into the aggressor head,
+// far ends observed), so a handful of Krylov vectors capture the response
+// that a bare 2N-port reduction needs blocks of 2N columns per moment
+// for. The Thevenin aggressor driver enters as its Norton equivalent and
+// the whole transient runs on the small system, on the identical stimulus
+// and time grid as the sparse-MNA transient.
 //
 // Every function here is pure: share one BusStateSpace across threads and
 // evaluate drives in parallel through core::run_sweep / ThreadPool.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "circuit/crosstalk.hpp"
@@ -30,35 +32,61 @@ struct BusScenario {
   double edge_time_s = 20e-12;
 };
 
-/// Bare-bus descriptor system C dx/dt + G x over the non-ground node
-/// voltages (the bare bus has no vsource or inductor branches, so state
-/// i is node i + 1), plus the per-line state indices of the head and far
-/// terminals and the topology it was extracted from. Port maps are not
-/// stored: bare_bus_ports and terminate_bus build the ones they need.
-struct BusStateSpace {
-  circuit::BusTopology topology;
-  numerics::SparseMatrix g, c;
-  std::vector<std::size_t> head_states, far_states;
-
-  int size() const { return static_cast<int>(g.rows()); }
+/// One sampled technology: multiplicative scales on the anchor topology's
+/// per-unit-length electricals. {1, 1, 1} is the anchor itself.
+struct BusTechPoint {
+  double resistance_scale = 1.0;   ///< line.resistance_per_m factor.
+  double capacitance_scale = 1.0;  ///< line.capacitance_per_m factor.
+  double coupling_scale = 1.0;     ///< coupling_cap_per_m factor.
 };
 
-/// Builds the bare bus netlist of `topology` and extracts its G, C and
-/// head/far state indices.
-BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology);
+/// Coefficients of the six bus components:
+/// G = t[0] G_fixed + t[1] G_line + t[2] E_head and
+/// C = t[3] C_ground + t[4] C_couple + t[5] E_far.
+using BusTheta = std::array<double, 6>;
 
-/// The bare 2N-port system: ports head0..head{N-1} then far0..far{N-1},
-/// each both a current input and a voltage output — what the bare
-/// ParametrizedBusRom reduces, so any drive can be folded in afterwards
-/// (terminate_bare_bus).
+/// (1, 1 / s_R, driver_siemens, s_C, s_Cc, load_f): a technology point
+/// under a drive. A bare bus has zero drive coefficients.
+BusTheta bus_theta(const BusTechPoint& point, double driver_siemens,
+                   double load_f);
+
+/// The bare bus as an affine stamp over the non-ground node voltages, in
+/// build_bus_netlist's node order (state i is node i + 1): G_fixed (the
+/// 1e-12 S g_min floor, contact resistors or the 1 Ohm far stub of a
+/// contact-free line), G_line (segment resistors at unit scale), E_head
+/// (unit head diagonals), C_ground, C_couple (segment and coupling
+/// capacitors) and E_far (unit far-end diagonals). g(theta) and c(theta)
+/// write sum_k theta[k] A_k straight into sorted CSR, so a component is
+/// g or c at a unit theta. Nothing is stored per component: a cached
+/// topology costs its head/far indices only. Port maps are not stored
+/// either: bare_bus_ports and terminate_bus build the ones they need.
+struct BusStateSpace {
+  circuit::BusTopology topology;
+  std::vector<std::size_t> head_states, far_states;
+
+  int size() const {
+    return static_cast<int>(far_states.back() + 1);
+  }
+  numerics::SparseMatrix g(const BusTheta& theta) const;
+  numerics::SparseMatrix c(const BusTheta& theta) const;
+};
+
+/// Checks `topology` and indexes its head and far states: the same G and
+/// C extract_state_space gives for build_bus_netlist(topology), to
+/// rounding, with no netlist in between.
+BusStateSpace stamp_bus(const circuit::BusTopology& topology);
+
+/// The bare 2N-port system at unit scales: ports head0..head{N-1} then
+/// far0..far{N-1}, each both a current input and a voltage output — the
+/// port shape of the bare ParametrizedBusRom, so any drive can be folded
+/// in afterwards (terminate_bare_bus).
 StateSpace bare_bus_ports(const BusStateSpace& bare);
 
-/// The bus under one drive as a one-input system: 1 / driver_ohm added to
-/// every head diagonal of G, the receiver load added to every far
-/// diagonal of C (a zero load stamps nothing), B the aggressor-head
-/// injection (-1 = centre line) and L the far-end voltages. The one
-/// termination path of the per-drive reduction and of the driven
-/// ParametrizedBusRom corners.
+/// The bus under one drive as a one-input system: G and C at
+/// theta = (1, 1, 1 / driver_ohm, 1, 1, receiver load), B the
+/// aggressor-head injection (-1 = centre line) and L the far-end voltages.
+/// The port shape of the per-drive reduction and of the driven
+/// ParametrizedBusRom.
 StateSpace terminate_bus(const BusStateSpace& bare,
                          const circuit::BusDrive& drive);
 

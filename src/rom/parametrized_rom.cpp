@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,32 +20,27 @@ using detail::dot;
 using detail::norm2;
 using numerics::MatrixD;
 
-/// One varied axis in its interpolation coordinate: bus conductance
-/// stamps are affine in 1/resistance_scale, capacitance stamps in the
-/// scale itself, so weights computed in these coordinates make the
-/// multilinear blend of the corner matrices *exact* (see header).
-struct Axis {
-  double lo = 1.0, hi = 1.0;
-  bool conductance = false;
-};
-
-std::array<Axis, 3> axes_of(const BusTechBox& box) {
-  return {Axis{box.lo.resistance_scale, box.hi.resistance_scale, true},
-          Axis{box.lo.capacitance_scale, box.hi.capacitance_scale, false},
-          Axis{box.lo.coupling_scale, box.hi.coupling_scale, false}};
-}
-
 std::array<double, 3> point_values(const BusTechPoint& p) {
   return {p.resistance_scale, p.capacitance_scale, p.coupling_scale};
 }
 
-/// Fraction toward the hi corner in the axis's interpolation coordinate.
-double axis_fraction(const Axis& a, double value) {
-  if (a.lo == a.hi) return 0.0;
-  const double u = a.conductance ? 1.0 / value : value;
-  const double u_lo = a.conductance ? 1.0 / a.lo : a.lo;
-  const double u_hi = a.conductance ? 1.0 / a.hi : a.hi;
-  return (u - u_lo) / (u_hi - u_lo);
+/// Component coefficients at `p` under the reduced drive (zero drive
+/// coefficients for a bare ROM).
+BusTheta theta_at(const std::optional<circuit::BusDrive>& drive,
+                  const BusTechPoint& p) {
+  return drive ? bus_theta(p, 1.0 / drive->driver_ohm, drive->receiver_load_f)
+               : bus_theta(p, 0.0, 0.0);
+}
+
+/// The analyze_bus_crosstalk drive of a scenario on `aggressor`.
+circuit::BusDrive drive_of(int aggressor, const BusScenario& sc) {
+  circuit::BusDrive drive;
+  drive.aggressor = aggressor;
+  drive.driver_ohm = sc.driver_ohm;
+  drive.vdd_v = sc.vdd_v;
+  drive.edge_time_s = sc.edge_time_s;
+  drive.receiver_load_f = sc.receiver_load_f;
+  return drive;
 }
 
 /// Deterministic interior probe fraction for validate_against_mna: a
@@ -82,9 +78,10 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   CNTI_EXPECTS(aggressor_ >= 0 && aggressor_ < topology_.lines,
                "ParametrizedBusRom: aggressor index out of range");
   const obs::ObsSpan build_span("prom.build", "rom");
-  const std::array<Axis, 3> axes = axes_of(box_);
-  for (const Axis& a : axes) {
-    CNTI_EXPECTS(a.lo > 0.0 && a.hi >= a.lo,
+  const std::array<double, 3> lo = point_values(box_.lo);
+  const std::array<double, 3> hi = point_values(box_.hi);
+  for (std::size_t a = 0; a < 3; ++a) {
+    CNTI_EXPECTS(lo[a] > 0.0 && hi[a] >= lo[a],
                  "ParametrizedBusRom: axis bounds must satisfy 0 < lo <= hi");
   }
 
@@ -100,26 +97,33 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   // Corner enumeration: resistance axis fastest, lexicographic, collapsed
   // axes contributing a single value — a degenerate box has one corner and
   // a bare model is a plain PRIMA reduction of the nominal topology.
-  const auto axis_values = [](const Axis& a) {
-    return a.lo == a.hi ? std::vector<double>{a.lo}
-                        : std::vector<double>{a.lo, a.hi};
+  const auto axis_values = [&](std::size_t a) {
+    return lo[a] == hi[a] ? std::vector<double>{lo[a]}
+                          : std::vector<double>{lo[a], hi[a]};
   };
-  for (const double cc : axis_values(axes[2])) {
-    for (const double c : axis_values(axes[1])) {
-      for (const double r : axis_values(axes[0])) {
+  for (const double cc : axis_values(2)) {
+    for (const double c : axis_values(1)) {
+      for (const double r : axis_values(0)) {
         corner_points_.push_back({r, c, cc});
       }
     }
   }
 
-  std::vector<StateSpace> corner_ss;
+  // A corner only chooses the coefficients of the bus's G and C; the port
+  // maps do not depend on them.
+  const BusStateSpace bare = stamp_bus(topology_);
+  StateSpace ss = drive_ ? terminate_bus(bare, corner_drive)
+                         : bare_bus_ports(bare);
+  full_order_ = ss.size;
+  input_names_ = ss.input_names;
+  output_names_ = ss.output_names;
+  const std::size_t n = static_cast<std::size_t>(full_order_);
   std::vector<std::vector<std::vector<double>>> corner_bases;
-  corner_ss.reserve(corner_points_.size());
   corner_bases.reserve(corner_points_.size());
   for (const BusTechPoint& cp : corner_points_) {
-    const BusStateSpace bare = extract_bus_state_space(topology_at(cp));
-    StateSpace ss = drive_ ? terminate_bus(bare, corner_drive)
-                           : bare_bus_ports(bare);
+    const BusTheta theta = theta_at(drive_, cp);
+    ss.g = bare.g(theta);
+    ss.c = bare.c(theta);
     PrimaOptions opt = corner_options;
     if (opt.order <= 0) {
       // A driven corner has one input, so its Krylov space grows one
@@ -130,21 +134,13 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
       opt.expansion_rad_per_s = nominal_s0;
     }
     opt.keep_basis = true;
-    ReducedModel rm = prima_reduce(ss, opt);
-    corner_bases.push_back(rm.basis());
-    corner_ss.push_back(std::move(ss));
+    corner_bases.push_back(prima_reduce(ss, opt).basis());
   }
-  const StateSpace& ss0 = corner_ss.front();
-  full_order_ = ss0.size;
-  input_names_ = ss0.input_names;
-  output_names_ = ss0.output_names;
-  const std::size_t n = static_cast<std::size_t>(full_order_);
 
   // Merge the corner bases into one orthonormal basis. A single corner
-  // keeps its PRIMA basis verbatim (bit-identical to prima_reduce of the
-  // nominal system); otherwise the same MGS + reorthogonalization +
-  // deflation scheme prima_reduce uses absorbs each corner's vectors in
-  // corner order.
+  // keeps its PRIMA basis verbatim; otherwise the same MGS +
+  // reorthogonalization + deflation scheme prima_reduce uses absorbs each
+  // corner's vectors in corner order.
   std::vector<std::vector<double>> basis;
   if (corner_bases.size() == 1) {
     basis = std::move(corner_bases.front());
@@ -170,22 +166,21 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   }
   basis_size_ = basis.size();
 
-  // Re-project every corner's full-order G/C through the common basis
-  // (prima_reduce's congruence projection). B and L are port maps —
-  // independent of element values — so corner 0's projection serves every
-  // corner.
+  // Project each component — the stamp at a unit coefficient — once
+  // through the common basis (prima_reduce's congruence projection). A
+  // part whose coefficient is zero — the drive parts of a bare ROM, a zero
+  // load — never enters model_at.
   const obs::ObsSpan project_span("prom.project", "rom");
-  corner_gr_.reserve(corner_points_.size());
-  corner_cr_.reserve(corner_points_.size());
-  for (std::size_t k = 0; k < corner_ss.size(); ++k) {
-    detail::Projection pr = detail::project(corner_ss[k], basis);
-    corner_gr_.push_back(std::move(pr.g));
-    corner_cr_.push_back(std::move(pr.c));
-    if (k == 0) {
-      br_ = std::move(pr.b);
-      lr_ = std::move(pr.l);
-    }
+  const BusTheta nominal = theta_at(drive_, BusTechPoint{});
+  for (std::size_t k = 0; k < parts_r_.size(); ++k) {
+    if (nominal[k] == 0.0) continue;
+    BusTheta unit{};
+    unit[k] = 1.0;
+    parts_r_[k] = detail::project_matrix(k < 3 ? bare.g(unit) : bare.c(unit),
+                                         basis);
   }
+  br_ = detail::project_ports(ss.b, basis);
+  lr_ = detail::project_ports(ss.l, basis);
 }
 
 circuit::BusTopology ParametrizedBusRom::topology_at(
@@ -198,32 +193,23 @@ circuit::BusTopology ParametrizedBusRom::topology_at(
 }
 
 ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
-  const std::array<Axis, 3> axes = axes_of(box_);
   const std::array<double, 3> values = point_values(p);
-  std::array<double, 3> frac{};
+  const std::array<double, 3> lo = point_values(box_.lo);
+  const std::array<double, 3> hi = point_values(box_.hi);
   for (std::size_t a = 0; a < 3; ++a) {
-    CNTI_EXPECTS(values[a] >= axes[a].lo && values[a] <= axes[a].hi,
+    CNTI_EXPECTS(values[a] >= lo[a] && values[a] <= hi[a],
                  "ParametrizedBusRom: technology point outside the box");
-    frac[a] = axis_fraction(axes[a], values[a]);
   }
 
+  const BusTheta theta = theta_at(drive_, p);
   const std::size_t q = basis_size_;
   MatrixD gr(q, q), cr(q, q);
-  for (std::size_t ci = 0; ci < corner_points_.size(); ++ci) {
-    const std::array<double, 3> cv = point_values(corner_points_[ci]);
-    double w = 1.0;
-    for (std::size_t a = 0; a < 3; ++a) {
-      if (axes[a].lo == axes[a].hi) continue;
-      w *= cv[a] == axes[a].hi ? frac[a] : 1.0 - frac[a];
-    }
-    if (w == 0.0) continue;
-    const MatrixD& cg = corner_gr_[ci];
-    const MatrixD& cc = corner_cr_[ci];
+  for (std::size_t k = 0; k < parts_r_.size(); ++k) {
+    if (theta[k] == 0.0) continue;
+    MatrixD& dst = k < 3 ? gr : cr;
+    const MatrixD& part = parts_r_[k];
     for (std::size_t i = 0; i < q; ++i) {
-      for (std::size_t j = 0; j < q; ++j) {
-        gr(i, j) += w * cg(i, j);
-        cr(i, j) += w * cc(i, j);
-      }
+      for (std::size_t j = 0; j < q; ++j) dst(i, j) += theta[k] * part(i, j);
     }
   }
   return ReducedModel(std::move(gr), std::move(cr), br_, lr_, input_names_,
@@ -232,13 +218,8 @@ ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
 
 double ParametrizedBusRom::window_s(const BusTechPoint& p,
                                     const BusScenario& sc) const {
-  circuit::BusDrive drive;
-  drive.aggressor = aggressor_;
-  drive.driver_ohm = sc.driver_ohm;
-  drive.vdd_v = sc.vdd_v;
-  drive.edge_time_s = sc.edge_time_s;
-  drive.receiver_load_f = sc.receiver_load_f;
-  return circuit::bus_settle_time_s(topology_at(p), drive);
+  return circuit::bus_settle_time_s(topology_at(p),
+                                    drive_of(aggressor_, sc));
 }
 
 circuit::BusCrosstalkResult ParametrizedBusRom::evaluate(
@@ -260,29 +241,21 @@ ParamRomValidation ParametrizedBusRom::validate_against_mna(
     const BusScenario& sc, int probes, int time_steps) const {
   CNTI_EXPECTS(probes >= 1, "ParametrizedBusRom: need at least one probe");
   const obs::ObsSpan validate_span("prom.validate", "rom");
-  const std::array<Axis, 3> axes = axes_of(box_);
+  const std::array<double, 3> lo = point_values(box_.lo);
+  const std::array<double, 3> hi = point_values(box_.hi);
+  const auto interior = [&](int probe, int a) {
+    const auto ua = static_cast<std::size_t>(a);
+    return lo[ua] + interior_fraction(probe, a) * (hi[ua] - lo[ua]);
+  };
   ParamRomValidation out;
   out.probes = probes;
   for (int k = 0; k < probes; ++k) {
-    BusTechPoint p;
-    std::array<double*, 3> fields = {&p.resistance_scale,
-                                     &p.capacitance_scale,
-                                     &p.coupling_scale};
-    for (int a = 0; a < 3; ++a) {
-      const Axis& ax = axes[static_cast<std::size_t>(a)];
-      *fields[static_cast<std::size_t>(a)] =
-          ax.lo + interior_fraction(k, a) * (ax.hi - ax.lo);
-    }
-
+    const BusTechPoint p{interior(k, 0), interior(k, 1), interior(k, 2)};
     const circuit::BusCrosstalkResult rom_res = evaluate(p, sc, time_steps);
-    circuit::BusDrive drive;
-    drive.aggressor = aggressor_;
-    drive.driver_ohm = sc.driver_ohm;
-    drive.vdd_v = sc.vdd_v;
-    drive.edge_time_s = sc.edge_time_s;
-    drive.receiver_load_f = sc.receiver_load_f;
+    const circuit::BusTopology t = topology_at(p);
     const circuit::BusCrosstalkResult mna_res = circuit::analyze_bus_crosstalk(
-        circuit::make_bus_config(topology_at(p), drive), time_steps);
+        circuit::build_bus_netlist(t), t, drive_of(aggressor_, sc),
+        time_steps);
 
     const double noise_den =
         std::max(std::abs(mna_res.peak_noise_v), 1e-12 * sc.vdd_v);

@@ -3,30 +3,30 @@
 // moment a Monte Carlo sample perturbs the per-unit-length electricals —
 // re-running PRIMA per sample would cost more than the full transient it
 // replaces. Instead, reduce once at the 2^k corner anchors of the varied
-// axes (line R/m, line C/m, neighbour-coupling C/m extremes), merge the
-// corner Krylov bases into one orthonormal basis V, and re-project every
-// corner's full-order G/C through that common V.
+// axes (line R/m, line C/m, neighbour-coupling C/m extremes) and merge the
+// corner Krylov bases into one orthonormal basis V. The corners only
+// choose the basis.
 //
-// Evaluation at an interior technology point blends the corner-projected
-// matrices multilinearly in *transformed* coordinates — 1/scale for the
-// resistance axis (stamps are conductances), scale for the capacitance
-// axes. Because every entry of the bus G (resp. C) is affine in those
-// coordinates, the blend equals V^T G(p) V exactly: a congruence
-// projection of the true passive network at p, so the blended model is
+// The bus is an affine stamp (stamp_bus): G(p) and C(p) are sums
+// theta_k(p) A_k with theta = (1, 1/s_R, g_drv, s_C, s_Cc, load).
+// Each component is projected once, and the model at a technology point is
+// sum theta_k(p) V^T A_k V — which is V^T G(p) V and V^T C(p) V: a
+// congruence projection of the true passive network at p, so the model is
 // unconditionally stable and the only approximation is basis quality at
 // interior points — which validate_against_mna bounds against the full
 // sparse-MNA transient at sampled non-anchor points.
 //
 // A study whose drive is fixed reduces the *driven* bus instead (the
-// BusDrive constructor): every corner is terminated by terminate_bus
+// BusDrive constructor): every corner carries the drive's coefficients
 // before PRIMA and each corner is a one-input system, so the merged order
 // drops from a block of 2 * lines ports per moment to a few vectors per
-// corner.
+// corner. A bare ROM has zero drive coefficients.
 //
 // evaluate() is const and thread-safe: reduce once per (topology, box,
 // aggressor[, drive]), then sample technologies in parallel at ROM cost.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "circuit/crosstalk.hpp"
@@ -35,15 +35,8 @@
 
 namespace cnti::rom {
 
-/// One sampled technology: multiplicative scales on the anchor topology's
-/// per-unit-length electricals. {1, 1, 1} is the anchor itself.
-struct BusTechPoint {
-  double resistance_scale = 1.0;   ///< line.resistance_per_m factor.
-  double capacitance_scale = 1.0;  ///< line.capacitance_per_m factor.
-  double coupling_scale = 1.0;     ///< coupling_cap_per_m factor.
-};
-
-/// Axis-aligned scale box the ROM is anchored on: corners are every
+/// Axis-aligned scale box (of BusTechPoint scales) the ROM is anchored on:
+/// corners are every
 /// lo/hi combination of the axes with lo != hi (equal bounds collapse the
 /// axis, so a fully degenerate box has a single corner and the model is a
 /// plain PRIMA reduction of the nominal bus). All bounds must be positive
@@ -74,11 +67,11 @@ class ParametrizedBusRom {
                      PrimaOptions corner_options = {.order = 0});
 
   /// Driven reduction for a study whose drive is fixed: every corner's bus
-  /// is terminated by terminate_bus (driver conductance at every head,
-  /// receiver load at every far end) and reduced as a one-input system —
-  /// current into the aggressor head, observing the far ends. The
-  /// terminations do not depend on the technology point, so the blend
-  /// stays exact. Each corner gets 8 Krylov vectors, expanded at
+  /// carries the drive (driver conductance at every head, receiver load at
+  /// every far end, terminate_bus's port shape) and is reduced as a
+  /// one-input system — current into the aggressor head, observing the
+  /// far ends. The drive coefficients do not depend on the technology
+  /// point. Each corner gets 8 Krylov vectors, expanded at
   /// 20 / bus_settle_time_s under `drive`. evaluate() then accepts only
   /// scenarios with the reduced driver and load.
   ParametrizedBusRom(const circuit::BusTopology& nominal,
@@ -86,7 +79,7 @@ class ParametrizedBusRom {
 
   int lines() const { return topology_.lines; }
   int full_order() const { return full_order_; }
-  /// Merged-basis size: every blended model is order() x order().
+  /// Merged-basis size: every model is order() x order().
   int order() const { return static_cast<int>(basis_size_); }
   int corners() const { return static_cast<int>(corner_points_.size()); }
   int aggressor() const { return aggressor_; }
@@ -97,8 +90,9 @@ class ParametrizedBusRom {
   /// sparse-MNA analysis would simulate).
   circuit::BusTopology topology_at(const BusTechPoint& point) const;
 
-  /// Blended reduced model at `point` (must lie inside the box): exactly
-  /// V^T G(p) V / V^T C(p) V, see the header comment. A bare ROM's model
+  /// Reduced model at `point` (must lie inside the box): the projected
+  /// components summed with the point's coefficients, V^T G(p) V /
+  /// V^T C(p) V (see the header comment). A bare ROM's model
   /// has head/far ports (bare_bus_ports); a driven ROM's has the drive's
   /// terminations folded in, the aggressor-head input and the far-end
   /// outputs — the shape terminate_bare_bus gives a bare one.
@@ -109,7 +103,7 @@ class ParametrizedBusRom {
   double window_s(const BusTechPoint& point,
                   const BusScenario& scenario) const;
 
-  /// Runs the scenario transient on the blended model; field-for-field
+  /// Runs the scenario transient on model_at(point); field-for-field
   /// comparable with analyze_bus_crosstalk(topology_at(point), drive).
   /// A driven ROM throws PreconditionError when the scenario's driver
   /// resistance or receiver load differs from the reduced drive.
@@ -118,7 +112,7 @@ class ParametrizedBusRom {
                                        int time_steps = 1500) const;
 
   /// Error-bound policy: evaluates `probes` deterministic interior
-  /// (non-anchor) technology points both ways — blended ROM vs full
+  /// (non-anchor) technology points both ways — ROM vs full
   /// sparse-MNA transient — and reports the worst relative noise/delay
   /// error. Construction-time users gate on this (e.g. <= 1%) before
   /// trusting the ROM across a Monte Carlo study.
@@ -137,8 +131,9 @@ class ParametrizedBusRom {
   int full_order_ = 0;
   std::size_t basis_size_ = 0;
   std::vector<BusTechPoint> corner_points_;
-  /// Per-corner projected matrices through the shared merged basis.
-  std::vector<numerics::MatrixD> corner_gr_, corner_cr_;
+  /// V^T A_k V of each bus component through the merged basis (a bare
+  /// ROM leaves the drive parts empty).
+  std::array<numerics::MatrixD, 6> parts_r_;
   numerics::MatrixD br_, lr_;  ///< Port maps: identical at every corner.
   std::vector<std::string> input_names_, output_names_;
 };

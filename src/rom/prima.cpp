@@ -64,9 +64,9 @@ SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
 
 }  // namespace
 
-detail::Projection detail::project(
-    const StateSpace& ss, const std::vector<std::vector<double>>& basis) {
-  const std::size_t n = static_cast<std::size_t>(ss.size);
+MatrixD detail::project_matrix(const SparseMatrix& a,
+                               const std::vector<std::vector<double>>& basis) {
+  const std::size_t n = a.rows();
   const std::size_t q = basis.size();
   // W = A V is built a block of rows at a time: row r of W sums
   // a_rk * V(k, :) over row r's nonzeros in the order the matvec A v
@@ -75,44 +75,43 @@ detail::Projection detail::project(
   // same as dot(basis[i], A basis[j]) while W never exceeds one block.
   constexpr std::size_t kBlock = 64;
   std::vector<double> w(kBlock * q);
-  const auto project_pencil = [&](const SparseMatrix& a) {
-    MatrixD ar(q, q);
-    for (std::size_t r0 = 0; r0 < n; r0 += kBlock) {
-      const std::size_t rows = std::min(kBlock, n - r0);
-      std::fill(w.begin(), w.end(), 0.0);
-      for (std::size_t r = r0; r < r0 + rows; ++r) {
-        double* wr = &w[(r - r0) * q];
-        for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
-          const double v = a.values()[t];
-          const std::size_t k = a.col_indices()[t];
-          for (std::size_t j = 0; j < q; ++j) wr[j] += v * basis[j][k];
-        }
-      }
-      for (std::size_t i = 0; i < q; ++i) {
-        detail::axpy_rows(&basis[i][r0], w.data(), q, rows, &ar(i, 0), q);
+  MatrixD ar(q, q);
+  for (std::size_t r0 = 0; r0 < n; r0 += kBlock) {
+    const std::size_t rows = std::min(kBlock, n - r0);
+    std::fill(w.begin(), w.end(), 0.0);
+    for (std::size_t r = r0; r < r0 + rows; ++r) {
+      double* wr = &w[(r - r0) * q];
+      for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
+        const double v = a.values()[t];
+        const std::size_t k = a.col_indices()[t];
+        for (std::size_t j = 0; j < q; ++j) wr[j] += v * basis[j][k];
       }
     }
-    return ar;
-  };
-  // Port maps are sparse incidence columns: sum over their nonzeros only.
-  const auto project_ports = [&](const MatrixD& m) {
-    MatrixD mr(q, m.cols());
-    std::vector<std::size_t> nz;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      nz.clear();
-      for (std::size_t r = 0; r < n; ++r) {
-        if (m(r, j) != 0.0) nz.push_back(r);
-      }
-      for (std::size_t i = 0; i < q; ++i) {
-        double s = 0.0;
-        for (const std::size_t r : nz) s += basis[i][r] * m(r, j);
-        mr(i, j) = s;
-      }
+    for (std::size_t i = 0; i < q; ++i) {
+      detail::axpy_rows(&basis[i][r0], w.data(), q, rows, &ar(i, 0), q);
     }
-    return mr;
-  };
-  return {project_pencil(ss.g), project_pencil(ss.c), project_ports(ss.b),
-          project_ports(ss.l)};
+  }
+  return ar;
+}
+
+MatrixD detail::project_ports(const MatrixD& m,
+                              const std::vector<std::vector<double>>& basis) {
+  const std::size_t n = m.rows();
+  const std::size_t q = basis.size();
+  MatrixD mr(q, m.cols());
+  std::vector<std::size_t> nz;
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    nz.clear();
+    for (std::size_t r = 0; r < n; ++r) {
+      if (m(r, j) != 0.0) nz.push_back(r);
+    }
+    for (std::size_t i = 0; i < q; ++i) {
+      double s = 0.0;
+      for (const std::size_t r : nz) s += basis[i][r] * m(r, j);
+      mr(i, j) = s;
+    }
+  }
+  return mr;
 }
 
 ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
@@ -204,9 +203,11 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
 
   // Congruence projection onto the span of the basis.
   basis_gauge.set(static_cast<double>(basis.size()));
-  detail::Projection pr = detail::project(ss, basis);
-  ReducedModel rm(std::move(pr.g), std::move(pr.c), std::move(pr.b),
-                  std::move(pr.l), ss.input_names, ss.output_names, ss.size);
+  ReducedModel rm(detail::project_matrix(ss.g, basis),
+                  detail::project_matrix(ss.c, basis),
+                  detail::project_ports(ss.b, basis),
+                  detail::project_ports(ss.l, basis), ss.input_names,
+                  ss.output_names, ss.size);
   if (options.keep_basis) rm.set_basis(std::move(basis));
   return rm;
 }

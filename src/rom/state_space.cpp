@@ -11,11 +11,6 @@ using circuit::Circuit;
 using circuit::NodeId;
 using numerics::SparseBuilder;
 
-/// Matches the MNA engine's always-on node-to-ground conductance (and the
-/// AC engine's g_min), so reduced transfer functions line up with
-/// ac_analysis to solver precision.
-constexpr double kGminFloor = 1e-12;
-
 /// Row/column of a node voltage unknown, or -1 for ground.
 int nv(NodeId n) { return n - 1; }
 
@@ -69,7 +64,7 @@ StateSpace extract_state_space(const Circuit& ckt,
 
   for (int n = 1; n <= nodes; ++n) {
     g.add(static_cast<std::size_t>(n - 1), static_cast<std::size_t>(n - 1),
-          kGminFloor);
+          detail::kGminFloor);
   }
   for (const auto& r : ckt.resistors()) {
     CNTI_EXPECTS(r.ohms > 0, "StateSpace: resistor must be positive");

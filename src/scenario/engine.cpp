@@ -196,7 +196,7 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // drive, grid). The compute terminates the topology's bare
       // descriptor system for this drive and reduces it as a one-input
       // system (rom::evaluate_bus_drive). The bare system is memory-only
-      // and nested inside the compute, so one extraction per topology is
+      // and nested inside the compute, so one stamp per topology is
       // shared across every drive of the batch — and on a warm disk hit
       // it is never built at all.
       // .v3: the settle window gained the receiver load and the delay
@@ -210,7 +210,10 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v7 (2026-10-18): PRIMA factors the symmetric RC pencil with a
       // banded Cholesky instead of sparse LU; last bits of the reduced
       // models move.
-      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v7",
+      // .v8 (2026-10-19): the bus is stamped as affine components instead
+      // of extracted from a netlist, and the drive enters as their
+      // coefficients; last bits of the reduced models move.
+      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v8",
                                            topology.line);
       eval_key.add(topology.coupling_cap_per_m)
           .add(topology.length_m)
@@ -225,11 +228,13 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusRomEval, eval_key.key(),
           [&] {
+            // .v2 (2026-10-19): the bare system is rom::stamp_bus's affine
+            // stamp, which stores no matrices; each drive stamps its G/C.
             const auto bare = cache_.get_or_compute<rom::BusStateSpace>(
                 stage::kBusSystem,
-                topology_key("stage.bus-system.v1", topology), [&] {
+                topology_key("stage.bus-system.v2", topology), [&] {
                   return std::make_shared<rom::BusStateSpace>(
-                      rom::extract_bus_state_space(topology));
+                      rom::stamp_bus(topology));
                 });
             return rom::evaluate_bus_drive(*bare, drive,
                                            s.analysis.time_steps);

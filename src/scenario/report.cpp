@@ -25,16 +25,6 @@ std::string csv_field(const std::string& s) {
   return out;
 }
 
-std::string num_field(double v) {
-  // max_digits10: the engine guarantees bit-identical results, so the CSV
-  // must round-trip doubles exactly — precision(12) silently dropped the
-  // last ~5 bits of every value (the JSON writer was already exact).
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
 std::ofstream open_or_throw(const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -44,6 +34,16 @@ std::ofstream open_or_throw(const std::string& path) {
 }
 
 }  // namespace
+
+std::string csv_number(double v) {
+  // max_digits10: the engine guarantees bit-identical results, so the CSV
+  // must round-trip doubles exactly — precision(12) silently dropped the
+  // last ~5 bits of every value (the JSON writer was already exact).
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << v;
+  return os.str();
+}
 
 const std::vector<std::string>& report_csv_header() {
   static const std::vector<std::string> header = {
@@ -78,33 +78,33 @@ void write_report_csv(std::ostream& out,
     out << header[i] << (i + 1 < header.size() ? "," : "\n");
   }
   for (const ScenarioResult& r : results) {
-    out << csv_field(r.label) << ',' << num_field(r.line.fermi_shift_ev)
-        << ',' << num_field(r.line.channels_per_shell) << ','
-        << num_field(r.line.mfp_um) << ',' << r.line.shells << ','
-        << num_field(r.line.resistance_kohm) << ','
-        << num_field(r.line.capacitance_ff) << ','
-        << num_field(r.line.electrostatic_cap_af_per_um) << ','
-        << num_field(r.line.delay_ps) << ',' << csv_field(r.line.delay_method)
+    out << csv_field(r.label) << ',' << csv_number(r.line.fermi_shift_ev)
+        << ',' << csv_number(r.line.channels_per_shell) << ','
+        << csv_number(r.line.mfp_um) << ',' << r.line.shells << ','
+        << csv_number(r.line.resistance_kohm) << ','
+        << csv_number(r.line.capacitance_ff) << ','
+        << csv_number(r.line.electrostatic_cap_af_per_um) << ','
+        << csv_number(r.line.delay_ps) << ',' << csv_field(r.line.delay_method)
         << ',';
     if (r.noise) {
       // A NaN aggressor delay (the 50% level was never crossed inside the
       // window) is an empty cell, mirroring the JSON writer's null — a
       // literal "nan" would not survive strict CSV consumers.
       const double delay_ps = units::to_ps(r.noise->aggressor_delay_s);
-      out << num_field(r.noise->peak_noise_v * 1e3) << ','
-          << num_field(units::to_ps(r.noise->peak_time_s)) << ','
+      out << csv_number(r.noise->peak_noise_v * 1e3) << ','
+          << csv_number(units::to_ps(r.noise->peak_time_s)) << ','
           << r.noise->worst_victim << ','
-          << (std::isfinite(delay_ps) ? num_field(delay_ps) : "") << ','
+          << (std::isfinite(delay_ps) ? csv_number(delay_ps) : "") << ','
           << r.noise->unknowns << ',';
     } else {
       out << ",,,,,";
     }
     if (r.thermal) {
-      out << num_field(r.thermal->peak_rise_k) << ','
-          << num_field(r.thermal->ampacity_ua) << ','
-          << num_field(r.thermal->current_density_a_cm2) << ','
+      out << csv_number(r.thermal->peak_rise_k) << ','
+          << csv_number(r.thermal->ampacity_ua) << ','
+          << csv_number(r.thermal->current_density_a_cm2) << ','
           << (r.thermal->cnt_em_immune ? 1 : 0) << ','
-          << num_field(r.thermal->cu_reference_mttf_s);
+          << csv_number(r.thermal->cu_reference_mttf_s);
     } else {
       out << ",,,,";
     }

@@ -13,6 +13,9 @@
 
 namespace cnti::scenario {
 
+/// A double as a CSV cell that round-trips exactly (max_digits10).
+std::string csv_number(double v);
+
 /// Header of write_report_csv, exposed so consumers can bind columns.
 const std::vector<std::string>& report_csv_header();
 

@@ -13,6 +13,7 @@
 #include "numerics/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "scenario/engine.hpp"
+#include "scenario/report.hpp"
 #include "service/json.hpp"
 
 namespace cnti::scenario {
@@ -65,23 +66,6 @@ std::uint64_t to_u64(const service::JsonValue& v, const char* what) {
   return static_cast<std::uint64_t>(d);
 }
 
-/// Rejects objects with members outside the schema — the same strictness
-/// the service protocol applies, so a typo'd hand-edited shard file fails
-/// loudly instead of silently defaulting.
-void check_members(const service::JsonValue::Object& obj,
-                   std::initializer_list<const char*> expected,
-                   const char* context) {
-  for (const auto& [k, unused] : obj) {
-    (void)unused;
-    if (std::find_if(expected.begin(), expected.end(), [&](const char* e) {
-          return k == e;
-        }) == expected.end()) {
-      throw service::ProtocolError(std::string(context) +
-                                   ": unknown member: " + k);
-    }
-  }
-}
-
 void write_kpi_array(std::ostream& out, const std::vector<double>& values) {
   out << "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -118,19 +102,12 @@ void write_summary_json(std::ostream& out, const numerics::Summary& s) {
       << ", \"p95\": " << json_number(s.p95) << "}";
 }
 
-std::string num_field(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
 void write_summary_csv_row(std::ostream& out, const char* kpi,
                            const numerics::Summary& s) {
-  out << kpi << ',' << s.count << ',' << num_field(s.mean) << ','
-      << num_field(s.stddev) << ',' << num_field(s.min) << ','
-      << num_field(s.max) << ',' << num_field(s.median) << ','
-      << num_field(s.p05) << ',' << num_field(s.p95) << '\n';
+  out << kpi << ',' << s.count << ',' << csv_number(s.mean) << ','
+      << csv_number(s.stddev) << ',' << csv_number(s.min) << ','
+      << csv_number(s.max) << ',' << csv_number(s.median) << ','
+      << csv_number(s.p05) << ',' << csv_number(s.p95) << '\n';
 }
 
 }  // namespace
@@ -230,11 +207,11 @@ void write_shard_json(std::ostream& out, const StatisticalShard& shard) {
 
 StatisticalShard read_shard_json(const std::string& text) {
   const service::JsonValue doc = service::parse_json(text);
-  const auto& obj = doc.as_object();
-  check_members(obj,
-                {"schema", "study_key", "total_samples", "begin", "end",
-                 "noise_v", "delay_s"},
-                "shard report");
+  // The service protocol's strictness: a typo'd hand-edited shard file
+  // fails loudly instead of silently defaulting.
+  service::check_members(doc, "shard report",
+                         {"schema", "study_key", "total_samples", "begin",
+                          "end", "noise_v", "delay_s"});
   if (doc.at("schema").as_string() != "cnti.shard.v1") {
     throw service::ProtocolError("shard report: unknown schema: " +
                                  doc.at("schema").as_string());
@@ -302,7 +279,10 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // netlist elements; last bits of the driven corners move.
   // .v5 (2026-10-18): corners reduce through the banded Cholesky factor
   // of the RC pencil; last bits of the corner bases move.
-  KeyHasher prom_key("stage.bus-prom.v5");
+  // .v6 (2026-10-19): the bus components are projected once and summed
+  // with the point's coefficients instead of blending 8 projected corners;
+  // last bits of every sampled model move.
+  KeyHasher prom_key("stage.bus-prom.v6");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

@@ -1,5 +1,6 @@
 #include "service/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -280,6 +281,17 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+void check_members(const JsonValue& v, const char* where,
+                   std::initializer_list<const char*> allowed) {
+  for (const auto& [key, value] : v.as_object()) {
+    if (std::none_of(allowed.begin(), allowed.end(),
+                     [&](const char* a) { return key == a; })) {
+      throw ProtocolError(std::string("unknown member \"") + key + "\" in " +
+                          where);
+    }
+  }
 }
 
 }  // namespace cnti::service

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -63,5 +64,10 @@ class JsonValue {
 
 /// Parses exactly one JSON document; trailing non-whitespace is an error.
 JsonValue parse_json(std::string_view text);
+
+/// Strict schema: throws ProtocolError naming `where` when the object `v`
+/// has a member outside `allowed`.
+void check_members(const JsonValue& v, const char* where,
+                   std::initializer_list<const char*> allowed);
 
 }  // namespace cnti::service

@@ -15,24 +15,6 @@ namespace {
   throw ProtocolError(std::string("unknown ") + what + " \"" + s + "\"");
 }
 
-/// Rejects members outside `allowed` (strict schema).
-void check_members(const JsonValue& v, const char* where,
-                   std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : v.as_object()) {
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw ProtocolError(std::string("unknown member \"") + key + "\" in " +
-                          where);
-    }
-  }
-}
-
 double num_or(const JsonValue& v, const char* key, double fallback) {
   const JsonValue* m = v.find(key);
   if (m == nullptr) return fallback;

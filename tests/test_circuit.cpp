@@ -505,8 +505,8 @@ TEST(BusCrosstalk, HeavyLoadAggressorSettlesInsideTheWindow) {
   cir::BusDrive drive;
   drive.receiver_load_f = 1e-12;  // 1 pF: ~90x the line + coupling C
   const double window = cir::bus_settle_time_s(topology, drive);
-  const auto r = cir::analyze_bus_crosstalk(
-      cir::make_bus_config(topology, drive), 600);
+  const auto r = cir::analyze_bus_crosstalk(cir::build_bus_netlist(topology),
+                                            topology, drive, 600);
   ASSERT_TRUE(std::isfinite(r.aggressor_delay_s));
   EXPECT_GT(r.aggressor_delay_s, 0.0);
   EXPECT_LT(r.aggressor_delay_s, window);
@@ -519,8 +519,8 @@ TEST(BusCrosstalk, NeverCrossedDelayIsQuietNaNNotNegative) {
   const cir::BusTopology topology = settle_bus_topology();
   cir::BusDrive drive;
   drive.driver_ohm = 1e12;
-  const auto r = cir::analyze_bus_crosstalk(
-      cir::make_bus_config(topology, drive), 300);
+  const auto r = cir::analyze_bus_crosstalk(cir::build_bus_netlist(topology),
+                                            topology, drive, 300);
   EXPECT_TRUE(std::isnan(r.aggressor_delay_s));
   // The peak-noise fields stay valid even when the delay does not.
   EXPECT_TRUE(std::isfinite(r.peak_noise_v));

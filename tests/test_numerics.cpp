@@ -348,7 +348,7 @@ TEST(BandCholesky, MatchesSparseLuOnBusPencils) {
     drive.driver_ohm = 2e3;
     drive.receiver_load_f = 0.5e-15;
     const auto ss = cnti::rom::terminate_bus(
-        cnti::rom::extract_bus_state_space(topo), drive);
+        cnti::rom::stamp_bus(topo), drive);
     const double s0 = 20.0 / cnti::circuit::bus_settle_time_s(topo, drive);
 
     cn::BandCholesky band;

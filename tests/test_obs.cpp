@@ -215,6 +215,31 @@ TEST(Trace, SessionCapturesSpansAcrossThreadsSortedByStart) {
   EXPECT_TRUE(session.stop().empty());
 }
 
+TEST(Trace, OverlappingSessionsEachKeepTheirOwnSpans) {
+  // A drain hands its events to every open sink: the inner session's stop
+  // must not take the outer session's spans, and a session never returns
+  // a span that started before it opened.
+  const auto names = [](const std::vector<obs::TraceEvent>& events) {
+    std::vector<std::string> out;
+    for (const obs::TraceEvent& ev : events) out.emplace_back(ev.name);
+    return out;
+  };
+  obs::TraceSession outer;
+  { obs::ObsSpan a("test.before_inner", "engine"); }
+  std::vector<obs::TraceEvent> inner_events;
+  {
+    obs::TraceSession inner;
+    { obs::ObsSpan b("test.inside_inner", "engine"); }
+    inner_events = inner.stop();
+  }
+  { obs::ObsSpan c("test.after_inner", "engine"); }
+  const std::vector<obs::TraceEvent> outer_events = outer.stop();
+  EXPECT_EQ(names(inner_events), std::vector<std::string>{"test.inside_inner"});
+  EXPECT_EQ(names(outer_events),
+            (std::vector<std::string>{"test.before_inner", "test.inside_inner",
+                                      "test.after_inner"}));
+}
+
 TEST(Trace, JsonOutputSatisfiesTheStrictReader) {
   obs::TraceSession session;
   {

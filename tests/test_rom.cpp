@@ -203,14 +203,22 @@ double max_db_error(const cir::AcResult& a, const cir::AcResult& b,
   return worst;
 }
 
-cir::BusConfig paper_bus(int lines, int segments) {
-  cir::BusConfig cfg;
-  cfg.line = cc::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 100e-6;
-  cfg.lines = lines;
-  cfg.segments = segments;
-  return cfg;
+cir::BusTopology paper_bus(int lines, int segments) {
+  cir::BusTopology t;
+  t.line = cc::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  t.coupling_cap_per_m = 30e-12;
+  t.length_m = 100e-6;
+  t.lines = lines;
+  t.segments = segments;
+  return t;
+}
+
+/// The full sparse-MNA reference transient of one bus drive.
+cir::BusCrosstalkResult full_mna(const cir::BusTopology& topology,
+                                 const cir::BusDrive& drive,
+                                 int time_steps) {
+  return cir::analyze_bus_crosstalk(cir::build_bus_netlist(topology),
+                                    topology, drive, time_steps);
 }
 
 // --- State-space extraction contracts ------------------------------------
@@ -521,8 +529,7 @@ TEST(Prima, TerminatedBusRomStaysStable) {
   // Termination folding is a congruence update of a passive network, so
   // the passivity certificate must survive any nonnegative driver/load
   // attachment.
-  const rom::ParametrizedBusRom bus(paper_bus(4, 12).topology(),
-                                    rom::BusTechBox{});
+  const rom::ParametrizedBusRom bus(paper_bus(4, 12), rom::BusTechBox{});
   const rom::ReducedModel bare = bus.model_at({});
   for (const double r : {500.0, 5e3, 50e3}) {
     for (const double cl : {0.0, 0.2e-15, 5e-15}) {
@@ -619,8 +626,8 @@ TEST_P(BusRomVsFullMna, NoiseAndDelayWithinOnePercent) {
   // scenarios.
   const int lines = GetParam();
   const int segments = lines >= 16 ? 128 : 48;
-  cir::BusConfig cfg = paper_bus(lines, segments);
-  const rom::ParametrizedBusRom bus(cfg.topology(), rom::BusTechBox{});
+  const cir::BusTopology topology = paper_bus(lines, segments);
+  const rom::ParametrizedBusRom bus(topology, rom::BusTechBox{});
   EXPECT_LT(bus.order(), bus.full_order() / 4);
 
   struct Scenario {
@@ -628,10 +635,10 @@ TEST_P(BusRomVsFullMna, NoiseAndDelayWithinOnePercent) {
     double load_f;
   };
   for (const auto& sc : {Scenario{5e3, 0.2e-15}, Scenario{1.5e3, 1e-15}}) {
-    cir::BusConfig full_cfg = cfg;
-    full_cfg.driver_ohm = sc.driver_ohm;
-    full_cfg.receiver_load_f = sc.load_f;
-    const auto full = cir::analyze_bus_crosstalk(full_cfg, 600);
+    cir::BusDrive drive;
+    drive.driver_ohm = sc.driver_ohm;
+    drive.receiver_load_f = sc.load_f;
+    const auto full = full_mna(topology, drive, 600);
 
     rom::BusScenario rsc;
     rsc.driver_ohm = sc.driver_ohm;
@@ -689,8 +696,7 @@ TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
   // One shared reduced bus evaluated across a driver x load grid through
   // the sweep engine: results must be bit-identical at any thread count
   // (and data-race-free under TSan).
-  const rom::ParametrizedBusRom bus(paper_bus(4, 16).topology(),
-                                    rom::BusTechBox{});
+  const rom::ParametrizedBusRom bus(paper_bus(4, 16), rom::BusTechBox{});
   const cnti::core::SweepGrid grid(
       {{"driver_ohm", {1e3, 3e3, 10e3}}, {"load_f", {0.1e-15, 0.5e-15}}});
   const auto eval = [&bus](const cnti::core::SweepPoint& p) {
@@ -816,8 +822,7 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
   // The terminated 16-line paper bus with every port of the model kept,
   // a Norton edge on the centre head and 31 undriven ports; then the same
   // with a quiet-high victim, a driven DC input that runs the DC start.
-  const rom::ParametrizedBusRom bus(paper_bus(16, 128).topology(),
-                                    rom::BusTechBox{});
+  const rom::ParametrizedBusRom bus(paper_bus(16, 128), rom::BusTechBox{});
   rom::BusScenario sc;
   sc.driver_ohm = 3e3;
   sc.receiver_load_f = 0.5e-15;
@@ -872,14 +877,14 @@ TEST(RomKernel, PropagatorMatchesPerStepLuOnTerminatedPaperBus) {
 // --- Projection basis retention --------------------------------------------
 
 TEST(Prima, BasisIsRetainedAndSurvivesTermination) {
-  const cir::BusTopology topology = paper_bus(4, 12).topology();
+  const cir::BusTopology topology = paper_bus(4, 12);
   rom::PrimaOptions opt;
   opt.order = 24;
   opt.expansion_rad_per_s =
       20.0 / cir::bus_settle_time_s(topology, cir::BusDrive{});
   opt.keep_basis = true;
   const rom::ReducedModel m = rom::prima_reduce(
-      rom::bare_bus_ports(rom::extract_bus_state_space(topology)), opt);
+      rom::bare_bus_ports(rom::stamp_bus(topology)), opt);
   ASSERT_TRUE(m.has_basis());
   EXPECT_EQ(static_cast<int>(m.basis().size()), m.order());
   for (const auto& col : m.basis()) {
@@ -889,7 +894,7 @@ TEST(Prima, BasisIsRetainedAndSurvivesTermination) {
   // describes the terminated model: folding a head conductance g into Gr
   // equals projecting G + g e e^T through V, where V^T e = u.
   const rom::StateSpace ss =
-      rom::bare_bus_ports(rom::extract_bus_state_space(topology));
+      rom::bare_bus_ports(rom::stamp_bus(topology));
   std::vector<double> u(m.basis().size(), 0.0);
   for (std::size_t k = 0; k < u.size(); ++k) {
     for (std::size_t i = 0; i < m.basis()[k].size(); ++i) {
@@ -921,53 +926,107 @@ TEST(Prima, BasisIsRetainedAndSurvivesTermination) {
 
 // --- Per-drive reduction of the terminated bus ---------------------------
 
-TEST(DrivenBus, TerminationMatchesStampedNetlist) {
-  // terminate_bus adds the drive to the bare G/C directly; the same drive
-  // stamped as circuit elements before extraction must give the same
-  // matrices and pattern, with and without a receiver load (a zero load
-  // stamps no far-end capacitor).
-  const cir::BusTopology topology = paper_bus(4, 8).topology();
-  const rom::BusStateSpace bare = rom::extract_bus_state_space(topology);
-  for (const double load : {0.0, 0.7e-15}) {
-    SCOPED_TRACE(load);
-    cir::BusDrive drive;
-    drive.aggressor = 0;
-    drive.driver_ohm = 3e3;
-    drive.receiver_load_f = load;
-    const rom::StateSpace got = rom::terminate_bus(bare, drive);
-
-    cir::BusNetlist bus = cir::build_bus_netlist(topology);
-    for (int l = 0; l < topology.lines; ++l) {
-      const auto ul = static_cast<std::size_t>(l);
-      bus.ckt.add_resistor("rdrv" + std::to_string(l), bus.head[ul], 0,
-                           drive.driver_ohm);
-      if (load > 0) {
-        bus.ckt.add_capacitor("cl" + std::to_string(l), bus.far[ul], 0, load);
+/// Largest |a - b| / max(|a|, |b|) over every (r, c) of two square sparse
+/// matrices, whatever their patterns (an entry zero in both is equal).
+double max_rel_entry_diff(const cnti::numerics::SparseMatrix& a,
+                          const cnti::numerics::SparseMatrix& b) {
+  const std::size_t n = a.rows();
+  const auto dense = [n](const cnti::numerics::SparseMatrix& m) {
+    std::vector<double> d(n * n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t t = m.row_ptr()[r]; t < m.row_ptr()[r + 1]; ++t) {
+        d[r * n + m.col_indices()[t]] += m.values()[t];
       }
     }
-    rom::StateSpaceOptions opt;
-    opt.include_sources = false;
-    opt.ports = {{"head0", bus.head[0]}};
-    const rom::StateSpace ref = rom::extract_state_space(bus.ckt, opt);
+    return d;
+  };
+  const std::vector<double> da = dense(a), db = dense(b);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n * n; ++i) {
+    const double scale = std::max(std::abs(da[i]), std::abs(db[i]));
+    if (scale > 0.0) worst = std::max(worst, std::abs(da[i] - db[i]) / scale);
+  }
+  return worst;
+}
 
-    ASSERT_EQ(got.size, ref.size);
-    EXPECT_EQ(got.g.nnz(), ref.g.nnz());
-    EXPECT_EQ(got.c.nnz(), ref.c.nnz());
-    for (std::size_t r = 0; r < static_cast<std::size_t>(ref.size); ++r) {
-      for (std::size_t c = 0; c < static_cast<std::size_t>(ref.size); ++c) {
-        EXPECT_NEAR(got.g.at(r, c), ref.g.at(r, c),
-                    1e-14 * std::abs(ref.g.at(r, c)));
-        EXPECT_NEAR(got.c.at(r, c), ref.c.at(r, c),
-                    1e-14 * std::abs(ref.c.at(r, c)));
+TEST(DrivenBus, StampMatchesExtractedNetlist) {
+  // The affine stamp writes G(theta) and C(theta) straight into CSR. At
+  // any coefficients they must equal the extraction of the netlist at the
+  // matching technology point with the drive stamped as circuit elements
+  // (a zero load stamps no far-end capacitor), entry by entry. C keeps an
+  // explicit zero diagonal on capacitor-free nodes, so values are
+  // compared, not nonzero counts.
+  cir::BusTopology contact_free = paper_bus(4, 8);
+  contact_free.line.series_resistance_ohm = 0.0;  // the 1 Ohm far stub
+  cir::BusTopology uncoupled = paper_bus(4, 8);
+  uncoupled.coupling_cap_per_m = 0.0;
+  const std::pair<cir::BusTopology, rom::BusTechPoint> cases[] = {
+      {paper_bus(4, 8), {}},
+      {paper_bus(4, 8), {0.87, 1.13, 0.71}},
+      {paper_bus(16, 64), {}},
+      {paper_bus(16, 64), {1.19, 0.93, 1.27}},
+      {contact_free, {}},
+      {contact_free, {0.9, 1.1, 1.2}},
+      {uncoupled, {1.1, 0.9, 1.0}},
+  };
+  constexpr double kDriverOhm = 3e3;
+  for (const auto& [topology, p] : cases) {
+    const rom::BusStateSpace bus = rom::stamp_bus(topology);
+    for (const double load : {0.0, 0.7e-15}) {
+      SCOPED_TRACE(testing::Message()
+                   << topology.lines << " x " << topology.segments << ", R_s "
+                   << topology.line.series_resistance_ohm << ", Cc "
+                   << topology.coupling_cap_per_m << ", scales "
+                   << p.resistance_scale << "/" << p.capacitance_scale << "/"
+                   << p.coupling_scale << ", load " << load);
+      cir::BusTopology at = topology;
+      at.line.resistance_per_m *= p.resistance_scale;
+      at.line.capacitance_per_m *= p.capacitance_scale;
+      at.coupling_cap_per_m *= p.coupling_scale;
+      cir::BusNetlist net = cir::build_bus_netlist(at);
+      for (int l = 0; l < topology.lines; ++l) {
+        const auto ul = static_cast<std::size_t>(l);
+        net.ckt.add_resistor("rdrv" + std::to_string(l), net.head[ul], 0,
+                             kDriverOhm);
+        if (load > 0) {
+          net.ckt.add_capacitor("cl" + std::to_string(l), net.far[ul], 0,
+                                load);
+        }
+        EXPECT_EQ(bus.head_states[ul],
+                  static_cast<std::size_t>(net.head[ul] - 1));
+        EXPECT_EQ(bus.far_states[ul],
+                  static_cast<std::size_t>(net.far[ul] - 1));
       }
+      rom::StateSpaceOptions opt;
+      opt.include_sources = false;
+      opt.ports = {{"head0", net.head[0]}};
+      const rom::StateSpace ref = rom::extract_state_space(net.ckt, opt);
+
+      const rom::BusTheta theta = rom::bus_theta(p, 1.0 / kDriverOhm, load);
+      ASSERT_EQ(bus.size(), ref.size);
+      EXPECT_LE(max_rel_entry_diff(bus.g(theta), ref.g), 1e-14);
+      EXPECT_LE(max_rel_entry_diff(bus.c(theta), ref.c), 1e-14);
     }
-    EXPECT_EQ(got.inputs(), 1);
-    EXPECT_EQ(got.outputs(), topology.lines);
-    for (std::size_t r = 0; r < static_cast<std::size_t>(ref.size); ++r) {
-      EXPECT_EQ(got.b(r, 0), ref.b(r, 0));
-    }
-    for (std::size_t l = 0; l < bus.far.size(); ++l) {
-      EXPECT_EQ(got.l(static_cast<std::size_t>(bus.far[l] - 1), l), 1.0);
+  }
+
+  // terminate_bus is the nominal point under the drive, with the
+  // aggressor-head input and the far-end outputs.
+  const rom::BusStateSpace bus = rom::stamp_bus(paper_bus(4, 8));
+  cir::BusDrive drive;
+  drive.aggressor = 0;
+  drive.driver_ohm = kDriverOhm;
+  drive.receiver_load_f = 0.7e-15;
+  const rom::StateSpace got = rom::terminate_bus(bus, drive);
+  const rom::BusTheta theta =
+      rom::bus_theta({}, 1.0 / kDriverOhm, drive.receiver_load_f);
+  EXPECT_EQ(got.g.values(), bus.g(theta).values());
+  EXPECT_EQ(got.c.values(), bus.c(theta).values());
+  ASSERT_EQ(got.inputs(), 1);
+  ASSERT_EQ(got.outputs(), 4);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(got.size); ++r) {
+    EXPECT_EQ(got.b(r, 0), r == bus.head_states[0] ? 1.0 : 0.0);
+    for (std::size_t l = 0; l < 4; ++l) {
+      EXPECT_EQ(got.l(r, l), r == bus.far_states[l] ? 1.0 : 0.0);
     }
   }
 }
@@ -977,8 +1036,8 @@ TEST(DrivenBus, PerDriveRomMatchesFullMnaAcrossDrives) {
   // the terminated one-input bus, expanded at the drive's own settle-time
   // corner, vs the full sparse-MNA transient over strong and weak drivers,
   // no load and a heavy one, an edge and the centre aggressor.
-  const cir::BusConfig cfg = paper_bus(16, 64);
-  const rom::BusStateSpace bare = rom::extract_bus_state_space(cfg.topology());
+  const cir::BusTopology topology = paper_bus(16, 64);
+  const rom::BusStateSpace bare = rom::stamp_bus(topology);
   for (const double ohm : {200.0, 100e3}) {
     for (const double load : {0.0, 5e-15}) {
       for (const int aggressor : {0, 8}) {
@@ -990,8 +1049,7 @@ TEST(DrivenBus, PerDriveRomMatchesFullMnaAcrossDrives) {
         drive.receiver_load_f = load;
         EXPECT_EQ(rom::reduce_driven_bus(bare, drive).order(), 12);
         const auto red = rom::evaluate_bus_drive(bare, drive, 600);
-        const auto full = cir::analyze_bus_crosstalk(
-            cir::make_bus_config(cfg.topology(), drive), 600);
+        const auto full = full_mna(topology, drive, 600);
         EXPECT_EQ(red.worst_victim, full.worst_victim);
         EXPECT_NEAR(red.peak_noise_v, full.peak_noise_v,
                     1e-4 * std::abs(full.peak_noise_v));
@@ -1005,8 +1063,8 @@ TEST(DrivenBus, PerDriveRomMatchesFullMnaAcrossDrives) {
 TEST(DrivenBus, PerDriveReductionIsOneFactorizationAndTwelveSolves) {
   // The terminated bus pencil is symmetric and 16 wide: one band factor
   // (n * 17 entries) and one solve per Krylov vector, counted like the LU.
-  const cir::BusConfig cfg = paper_bus(16, 64);
-  const rom::BusStateSpace bare = rom::extract_bus_state_space(cfg.topology());
+  const cir::BusTopology topology = paper_bus(16, 64);
+  const rom::BusStateSpace bare = rom::stamp_bus(topology);
   const obs::Counter factorizations =
       obs::counter("cnti.solver.factorizations");
   const obs::Counter refactorizations =
@@ -1032,16 +1090,17 @@ TEST(ParamRom, DegenerateBoxIsBitwiseBusRom) {
   // A fully collapsed box (lo == hi == nominal) has a single corner, keeps
   // that corner's PRIMA basis verbatim and must reproduce a plain bare
   // bus reduction (6 * lines vectors at the default drive's settle-time
-  // corner, the drive folded in afterwards) bit for bit — window,
-  // transient and all.
-  const cir::BusConfig cfg = paper_bus(4, 8);
-  const rom::ParametrizedBusRom prom(cfg.topology(), rom::BusTechBox{});
+  // corner, the drive folded in afterwards): order and window bit for
+  // bit. model_at sums the projected components instead of projecting
+  // the summed G/C, so the KPIs agree to rounding (1e-12 relative).
+  const cir::BusTopology topology = paper_bus(4, 8);
+  const rom::ParametrizedBusRom prom(topology, rom::BusTechBox{});
   const rom::StateSpace ss =
-      rom::bare_bus_ports(rom::extract_bus_state_space(cfg.topology()));
+      rom::bare_bus_ports(rom::stamp_bus(topology));
   rom::PrimaOptions opt;
-  opt.order = std::min(6 * cfg.lines, ss.size / 2);
+  opt.order = std::min(6 * topology.lines, ss.size / 2);
   opt.expansion_rad_per_s =
-      20.0 / cir::bus_settle_time_s(cfg.topology(), cir::BusDrive{});
+      20.0 / cir::bus_settle_time_s(topology, cir::BusDrive{});
   const rom::ReducedModel bare = rom::prima_reduce(ss, opt);
   EXPECT_EQ(prom.corners(), 1);
   EXPECT_EQ(prom.order(), bare.order());
@@ -1053,34 +1112,35 @@ TEST(ParamRom, DegenerateBoxIsBitwiseBusRom) {
   cir::BusDrive drive;
   drive.driver_ohm = sc.driver_ohm;
   drive.receiver_load_f = sc.receiver_load_f;
-  const double window = cir::bus_settle_time_s(cfg.topology(), drive);
+  const double window = cir::bus_settle_time_s(topology, drive);
   const rom::BusTechPoint nominal;
   EXPECT_EQ(prom.window_s(nominal, sc), window);
-  const int aggressor = cfg.lines / 2;
+  const int aggressor = topology.lines / 2;
   const auto a = prom.evaluate(nominal, sc, 300);
   const auto b = rom::evaluate_driven_bus(
-      rom::terminate_bare_bus(bare, cfg.lines, aggressor, sc), aggressor, sc,
-      window, 300);
-  EXPECT_EQ(a.peak_noise_v, b.peak_noise_v);
-  EXPECT_EQ(a.peak_time_s, b.peak_time_s);
+      rom::terminate_bare_bus(bare, topology.lines, aggressor, sc), aggressor,
+      sc, window, 300);
+  EXPECT_NEAR(a.peak_noise_v, b.peak_noise_v,
+              1e-12 * std::abs(b.peak_noise_v));
+  EXPECT_NEAR(a.peak_time_s, b.peak_time_s, 1e-12 * b.peak_time_s);
   EXPECT_EQ(a.worst_victim, b.worst_victim);
-  EXPECT_EQ(a.aggressor_delay_s, b.aggressor_delay_s);
+  EXPECT_NEAR(a.aggressor_delay_s, b.aggressor_delay_s,
+              1e-12 * b.aggressor_delay_s);
 }
 
 TEST(ParamRom, CornerAnchorsMatchFullMnaWithinOnePercent) {
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.85, 0.90, 0.80};
   box.hi = {1.15, 1.10, 1.20};
-  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const rom::ParametrizedBusRom prom(topology, box);
   EXPECT_EQ(prom.corners(), 8);
 
   rom::BusScenario sc;
   for (const rom::BusTechPoint& p :
        {box.lo, box.hi, rom::BusTechPoint{0.85, 1.10, 0.80}}) {
     cir::BusDrive drive;
-    const auto full = cir::analyze_bus_crosstalk(
-        cir::make_bus_config(prom.topology_at(p), drive), 400);
+    const auto full = full_mna(prom.topology_at(p), drive, 400);
     const auto red = prom.evaluate(p, sc, 400);
     EXPECT_EQ(red.worst_victim, full.worst_victim);
     EXPECT_NEAR(red.peak_noise_v, full.peak_noise_v,
@@ -1093,11 +1153,11 @@ TEST(ParamRom, CornerAnchorsMatchFullMnaWithinOnePercent) {
 TEST(ParamRom, InteriorProbesWithinOnePercentOfMna) {
   // The error-bound policy itself: deterministic non-anchor probes vs the
   // full sparse-MNA transient must stay inside the 1% acceptance band.
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.85, 0.90, 0.80};
   box.hi = {1.15, 1.10, 1.20};
-  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const rom::ParametrizedBusRom prom(topology, box);
   const rom::ParamRomValidation v =
       prom.validate_against_mna(rom::BusScenario{}, 4, 400);
   EXPECT_EQ(v.probes, 4);
@@ -1106,14 +1166,14 @@ TEST(ParamRom, InteriorProbesWithinOnePercentOfMna) {
 }
 
 TEST(ParamRom, BlendedModelsStayStableAcrossTheBox) {
-  // The blend is a congruence projection of a passive network at every
+  // The model is a congruence projection of a passive network at every
   // interior point, so the passivity certificate must hold under any
   // nonnegative termination — not just at the anchors.
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.7, 0.8, 0.6};
   box.hi = {1.3, 1.2, 1.4};
-  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const rom::ParametrizedBusRom prom(topology, box);
   for (const rom::BusTechPoint& p :
        {rom::BusTechPoint{0.7, 1.2, 1.0}, rom::BusTechPoint{1.0, 1.0, 1.0},
         rom::BusTechPoint{1.29, 0.81, 1.39}}) {
@@ -1127,21 +1187,21 @@ TEST(ParamRom, BlendedModelsStayStableAcrossTheBox) {
 }
 
 TEST(ParamRom, RejectsBadBoxesAndOutOfBoxPoints) {
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox zero;
   zero.lo.resistance_scale = 0.0;  // scales must stay positive
-  EXPECT_THROW(rom::ParametrizedBusRom(cfg.topology(), zero),
+  EXPECT_THROW(rom::ParametrizedBusRom(topology, zero),
                cnti::PreconditionError);
   rom::BusTechBox inverted;
   inverted.lo.coupling_scale = 1.2;
   inverted.hi.coupling_scale = 0.8;
-  EXPECT_THROW(rom::ParametrizedBusRom(cfg.topology(), inverted),
+  EXPECT_THROW(rom::ParametrizedBusRom(topology, inverted),
                cnti::PreconditionError);
 
   rom::BusTechBox box;
   box.lo = {0.9, 0.9, 0.9};
   box.hi = {1.1, 1.1, 1.1};
-  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const rom::ParametrizedBusRom prom(topology, box);
   EXPECT_THROW(prom.model_at({1.2, 1.0, 1.0}), cnti::PreconditionError);
   EXPECT_THROW(prom.evaluate({1.0, 0.5, 1.0}, rom::BusScenario{}, 100),
                cnti::PreconditionError);
@@ -1153,7 +1213,7 @@ TEST(ParamRom, DrivenRomMatchesMnaOnThePaperBus) {
   // count, and interior probes track the full sparse-MNA transient to
   // 0.1 % — for a weak driver with a light load and for a strong driver
   // with a heavy one, each expanded at its own settle-time corner.
-  const cir::BusConfig cfg = paper_bus(16, 128);
+  const cir::BusTopology topology = paper_bus(16, 128);
   rom::BusTechBox box;
   box.lo = {0.85, 0.90, 0.80};
   box.hi = {1.15, 1.10, 1.20};
@@ -1163,7 +1223,7 @@ TEST(ParamRom, DrivenRomMatchesMnaOnThePaperBus) {
     cir::BusDrive drive;
     drive.driver_ohm = ohm;
     drive.receiver_load_f = load_f;
-    const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+    const rom::ParametrizedBusRom prom(topology, box, drive);
     EXPECT_EQ(prom.corners(), 8);
     EXPECT_LE(prom.order(), 64);
     const rom::ReducedModel m = prom.model_at(rom::BusTechPoint{});
@@ -1181,16 +1241,16 @@ TEST(ParamRom, DrivenRomMatchesMnaOnThePaperBus) {
 }
 
 TEST(ParamRom, DrivenRomAcceptsAZeroLoad) {
-  // A zero receiver load stamps no capacitor — neither in the driven
-  // corners nor in the full-MNA reference — as the bare ROM folds none.
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  // A zero receiver load is a zero coefficient in the driven corners and
+  // stamps no capacitor in the full-MNA reference.
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.9, 0.9, 0.9};
   box.hi = {1.1, 1.1, 1.1};
   cir::BusDrive drive;
   drive.driver_ohm = 3e3;
   drive.receiver_load_f = 0.0;
-  const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+  const rom::ParametrizedBusRom prom(topology, box, drive);
   rom::BusScenario sc;
   sc.driver_ohm = drive.driver_ohm;
   sc.receiver_load_f = 0.0;
@@ -1200,19 +1260,19 @@ TEST(ParamRom, DrivenRomAcceptsAZeroLoad) {
   EXPECT_LE(v.max_delay_rel_err, 1e-3);
 
   drive.receiver_load_f = -1e-15;
-  EXPECT_THROW(rom::ParametrizedBusRom(cfg.topology(), box, drive),
+  EXPECT_THROW(rom::ParametrizedBusRom(topology, box, drive),
                cnti::PreconditionError);
 }
 
 TEST(ParamRom, DrivenRomRejectsAMismatchedDrive) {
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.9, 0.9, 0.9};
   box.hi = {1.1, 1.1, 1.1};
   cir::BusDrive drive;
   drive.driver_ohm = 3e3;
   drive.receiver_load_f = 0.5e-15;
-  const rom::ParametrizedBusRom prom(cfg.topology(), box, drive);
+  const rom::ParametrizedBusRom prom(topology, box, drive);
 
   rom::BusScenario sc;
   sc.driver_ohm = drive.driver_ohm;
@@ -1233,11 +1293,11 @@ TEST(ParamRom, WindowTracksTheTechnologyPoint) {
   // The simulated window must be bus_settle_time_s of the *scaled*
   // topology under the scenario's drive — receiver load included — so the
   // ROM grid can never diverge from the full-MNA grid at any sample.
-  const cir::BusConfig cfg = paper_bus(4, 8);
+  const cir::BusTopology topology = paper_bus(4, 8);
   rom::BusTechBox box;
   box.lo = {0.8, 0.8, 0.8};
   box.hi = {1.2, 1.2, 1.2};
-  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const rom::ParametrizedBusRom prom(topology, box);
   rom::BusScenario sc;
   sc.driver_ohm = 3e3;
   sc.receiver_load_f = 40e-15;

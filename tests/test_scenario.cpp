@@ -328,7 +328,7 @@ TEST(ScenarioEngine, RomNoiseMatchesDirectBusRomBitwise) {
   const cc::MwcntLine line(cc::multiscale_line_spec(
       in, channels, cc::environment_capacitance(s.tech.environment)));
   const cir::BusCrosstalkResult direct = cnti::rom::evaluate_bus_drive(
-      cnti::rom::extract_bus_state_space(sc::to_bus_topology(s, line)),
+      cnti::rom::stamp_bus(sc::to_bus_topology(s, line)),
       sc::to_bus_drive(s), s.analysis.time_steps);
   EXPECT_EQ(direct.unknowns, cnti::rom::kDrivenBusOrder);
 
@@ -370,8 +370,9 @@ TEST(ScenarioEngine, FullMnaNoiseMatchesAnalyzeBusCrosstalkBitwise) {
       cc::doping_channel_stage(s.tech.dopant, s.tech.dopant_concentration);
   const cc::MwcntLine line(cc::multiscale_line_spec(
       in, channels, cc::environment_capacitance(s.tech.environment)));
+  const cir::BusTopology topology = sc::to_bus_topology(s, line);
   const cir::BusCrosstalkResult direct = cir::analyze_bus_crosstalk(
-      cir::make_bus_config(sc::to_bus_topology(s, line), sc::to_bus_drive(s)),
+      cir::build_bus_netlist(topology), topology, sc::to_bus_drive(s),
       s.analysis.time_steps);
 
   EXPECT_EQ(r.noise->peak_noise_v, direct.peak_noise_v);
@@ -379,39 +380,6 @@ TEST(ScenarioEngine, FullMnaNoiseMatchesAnalyzeBusCrosstalkBitwise) {
   EXPECT_EQ(r.noise->worst_victim, direct.worst_victim);
   EXPECT_EQ(r.noise->aggressor_delay_s, direct.aggressor_delay_s);
   EXPECT_EQ(r.noise->unknowns, direct.unknowns);
-}
-
-TEST(ScenarioEngine, BusConfigTopologyDriveRoundTripsEveryField) {
-  // BusConfig, topology()/drive() and make_bus_config each list the bus
-  // fields by hand; this pin turns a missed copy in any of them (which
-  // would silently desynchronize the cache seam) into a failure.
-  cir::BusConfig c;
-  c.line = {11.0, 22.0, 33.0, 44.0};
-  c.coupling_cap_per_m = 55e-12;
-  c.length_m = 66e-6;
-  c.lines = 7;
-  c.segments = 88;
-  c.aggressor = 3;
-  c.driver_ohm = 9e3;
-  c.vdd_v = 1.1;
-  c.edge_time_s = 12e-12;
-  c.receiver_load_f = 0.13e-15;
-  c.mna.solver = cir::SolverKind::kSparse;
-  const cir::BusConfig r = cir::make_bus_config(c.topology(), c.drive());
-  EXPECT_EQ(r.line.series_resistance_ohm, c.line.series_resistance_ohm);
-  EXPECT_EQ(r.line.resistance_per_m, c.line.resistance_per_m);
-  EXPECT_EQ(r.line.capacitance_per_m, c.line.capacitance_per_m);
-  EXPECT_EQ(r.line.inductance_per_m, c.line.inductance_per_m);
-  EXPECT_EQ(r.coupling_cap_per_m, c.coupling_cap_per_m);
-  EXPECT_EQ(r.length_m, c.length_m);
-  EXPECT_EQ(r.lines, c.lines);
-  EXPECT_EQ(r.segments, c.segments);
-  EXPECT_EQ(r.aggressor, c.aggressor);
-  EXPECT_EQ(r.driver_ohm, c.driver_ohm);
-  EXPECT_EQ(r.vdd_v, c.vdd_v);
-  EXPECT_EQ(r.edge_time_s, c.edge_time_s);
-  EXPECT_EQ(r.receiver_load_f, c.receiver_load_f);
-  EXPECT_EQ(r.mna.solver, c.mna.solver);
 }
 
 TEST(ScenarioEngine, PrebuiltNetlistOverloadMatchesSingleShot) {
@@ -426,8 +394,8 @@ TEST(ScenarioEngine, PrebuiltNetlistOverloadMatchesSingleShot) {
 
   const cir::BusNetlist bare = cir::build_bus_netlist(topology);
   const auto via_bare = cir::analyze_bus_crosstalk(bare, topology, drive, 150);
-  const auto single =
-      cir::analyze_bus_crosstalk(cir::make_bus_config(topology, drive), 150);
+  const auto single = cir::analyze_bus_crosstalk(
+      cir::build_bus_netlist(topology), topology, drive, 150);
   EXPECT_EQ(via_bare.peak_noise_v, single.peak_noise_v);
   EXPECT_EQ(via_bare.aggressor_delay_s, single.aggressor_delay_s);
   EXPECT_EQ(via_bare.unknowns, single.unknowns);
@@ -436,8 +404,8 @@ TEST(ScenarioEngine, PrebuiltNetlistOverloadMatchesSingleShot) {
   cir::BusDrive strong = drive;
   strong.driver_ohm /= 2.0;
   const auto reused = cir::analyze_bus_crosstalk(bare, topology, strong, 150);
-  const auto fresh =
-      cir::analyze_bus_crosstalk(cir::make_bus_config(topology, strong), 150);
+  const auto fresh = cir::analyze_bus_crosstalk(
+      cir::build_bus_netlist(topology), topology, strong, 150);
   EXPECT_EQ(reused.peak_noise_v, fresh.peak_noise_v);
   EXPECT_EQ(reused.aggressor_delay_s, fresh.aggressor_delay_s);
 

@@ -349,6 +349,24 @@ cir::MnaOptions dense_opts() {
   return o;
 }
 
+/// The paper MWCNT line as a 50 um coupled bus.
+cir::BusTopology mwcnt_bus(int lines, int segments) {
+  cir::BusTopology t;
+  t.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  t.coupling_cap_per_m = 30e-12;
+  t.length_m = 50e-6;
+  t.lines = lines;
+  t.segments = segments;
+  return t;
+}
+
+cir::BusCrosstalkResult analyze_bus(const cir::BusTopology& topology,
+                                    const cir::BusDrive& drive,
+                                    int time_steps) {
+  return cir::analyze_bus_crosstalk(cir::build_bus_netlist(topology),
+                                    topology, drive, time_steps);
+}
+
 cir::MnaOptions sparse_opts() {
   cir::MnaOptions o;
   o.solver = cir::SolverKind::kSparse;
@@ -536,27 +554,23 @@ TEST(DenseSparseDifferential, CrosstalkPairNoisePeak) {
 }
 
 TEST(DenseSparseDifferential, CoupledBusWorstVictim) {
-  cir::BusConfig cfg;
-  cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 50e-6;
-  cfg.lines = 5;
-  cfg.segments = 10;
+  const cir::BusTopology topology = mwcnt_bus(5, 10);
+  cir::BusDrive drive;
   // Off-centre aggressor: its two neighbours (edge line 0, interior line
   // 2) are structurally different, so the worst-victim argmax is not a
   // floating-point near-tie that the two backends could resolve
   // differently.
-  cfg.aggressor = 1;
-  cfg.mna = dense_opts();
-  const cir::BusCrosstalkResult dense = cir::analyze_bus_crosstalk(cfg, 600);
-  cfg.mna = sparse_opts();
-  const cir::BusCrosstalkResult sparse = cir::analyze_bus_crosstalk(cfg, 600);
+  drive.aggressor = 1;
+  drive.mna = dense_opts();
+  const cir::BusCrosstalkResult dense = analyze_bus(topology, drive, 600);
+  drive.mna = sparse_opts();
+  const cir::BusCrosstalkResult sparse = analyze_bus(topology, drive, 600);
   EXPECT_EQ(dense.worst_victim, sparse.worst_victim);
   EXPECT_EQ(dense.unknowns, sparse.unknowns);
   EXPECT_NEAR(dense.peak_noise_v, sparse.peak_noise_v,
               1e-8 * std::max(1.0, std::abs(dense.peak_noise_v)));
   // A neighbour of the aggressor must be the worst victim.
-  EXPECT_EQ(std::abs(dense.worst_victim - cfg.aggressor), 1);
+  EXPECT_EQ(std::abs(dense.worst_victim - drive.aggressor), 1);
 }
 
 TEST(DenseSparseDifferential, AutoRoutingMatchesExplicitBackends) {
@@ -593,19 +607,14 @@ TEST(DenseSparseDifferential, SparseMatchesDenseOverLongCoupledBusTransient) {
   // Both backends factor a linear bus once and reuse the factors for
   // every step: over a long window the sparse path must still match the
   // dense oracle to the differential tolerance.
-  cir::BusConfig cfg;
-  cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 50e-6;
-  cfg.lines = 6;
-  cfg.segments = 16;
-  cfg.aggressor = 2;
+  const cir::BusTopology topology = mwcnt_bus(6, 16);
+  cir::BusDrive drive;
+  drive.aggressor = 2;
 
-  cfg.mna = sparse_opts();
-  const cir::BusCrosstalkResult sparse =
-      cir::analyze_bus_crosstalk(cfg, 2000);
-  cfg.mna = dense_opts();
-  const cir::BusCrosstalkResult dense = cir::analyze_bus_crosstalk(cfg, 2000);
+  drive.mna = sparse_opts();
+  const cir::BusCrosstalkResult sparse = analyze_bus(topology, drive, 2000);
+  drive.mna = dense_opts();
+  const cir::BusCrosstalkResult dense = analyze_bus(topology, drive, 2000);
 
   EXPECT_EQ(sparse.worst_victim, dense.worst_victim);
   EXPECT_NEAR(sparse.peak_noise_v, dense.peak_noise_v,
@@ -639,15 +648,11 @@ TEST(LinearMna, BusTransientFactorsOnceAndSolvesOncePerStep) {
   // transient, then one solve per step (plus the DC's) and no
   // refactorization.
   constexpr int kSteps = 60;
-  cir::BusConfig cfg;
-  cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
-  cfg.coupling_cap_per_m = 30e-12;
-  cfg.length_m = 50e-6;
-  cfg.lines = 4;
-  cfg.segments = 12;
-  cfg.mna = sparse_opts();
+  cir::BusDrive drive;
+  drive.mna = sparse_opts();
+  const cir::BusTopology topology = mwcnt_bus(4, 12);
   const SolverCounts before = SolverCounts::now();
-  cir::analyze_bus_crosstalk(cfg, kSteps);
+  analyze_bus(topology, drive, kSteps);
   const SolverCounts d = SolverCounts::now().since(before);
   EXPECT_EQ(d.factorizations, 2u);
   EXPECT_EQ(d.refactorizations, 0u);
