@@ -1,16 +1,16 @@
 // Statistical SI sign-off at scale: a >= 10^5-sample varied-technology
-// Monte Carlo over a coupled CNT bus, evaluated at ROM cost on one driven
-// corner-anchored parametrized reduction (rom/parametrized_rom.hpp) and
-// reduced through the sharded deterministic-MC layer
-// (scenario/statistical.hpp). Reports:
-//   * the driven ROM's order and build time, and its accuracy vs full
-//     sparse MNA at interior technology points (the <= 1% acceptance
-//     bound);
+// Monte Carlo over the coupled 16 x 128 CNT paper bus, evaluated at ROM
+// cost on one driven corner-anchored parametrized reduction
+// (rom/parametrized_rom.hpp) and reduced through the sharded
+// deterministic-MC layer (scenario/statistical.hpp). Reports:
+//   * the driven ROM's chosen order, its error estimate and build time,
+//     and its accuracy vs full sparse MNA at interior technology points
+//     (the <= 1% acceptance bound);
 //   * study throughput (samples/s) and the merged noise/delay statistics;
 //   * shard-count invariance: the same study recomputed as 2 and 8 shard
 //     ranges merges to byte-identical reports.
-// A probe above 1% or a shard merge that is not byte-identical makes the
-// binary exit non-zero.
+// An estimate above the ROM's 1e-5 bound, a probe above 1% or a shard
+// merge that is not byte-identical makes the binary exit non-zero.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "numerics/thread_pool.hpp"
+#include "obs/obs.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/statistical.hpp"
 
@@ -27,13 +28,15 @@ namespace {
 
 using namespace cnti;
 
-/// The study scenario: a 4-line coupled bus with +-15% / +-10% / +-20%
-/// uniform spreads on per-unit-length R / C / coupling-C.
+/// The study scenario: the 16 x 128 paper bus (30 aF/um coupling) with
+/// +-15% / +-10% / +-20% uniform spreads on per-unit-length R / C /
+/// coupling-C.
 scenario::Scenario study_scenario(int samples) {
   scenario::Scenario s;
   s.label = "statistical-si";
-  s.workload.bus_lines = 4;
-  s.workload.bus_segments = 8;
+  s.workload.bus_lines = 16;
+  s.workload.bus_segments = 128;
+  s.workload.coupling_cap_af_per_um = 30.0;
   s.analysis.delay = false;
   s.analysis.noise = true;
   s.analysis.noise_model = scenario::NoiseModel::kReducedOrder;
@@ -74,6 +77,7 @@ void print_reproduction() {
     const double build_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    const double estimate = obs::gauge("cnti.rom.error_estimate").value();
     const circuit::BusDrive drive = scenario::to_bus_drive(s);
     rom::BusScenario rsc;
     rsc.driver_ohm = drive.driver_ohm;
@@ -85,6 +89,7 @@ void print_reproduction() {
     std::cout << "driven parametrized ROM (" << prom->corners()
               << " corner anchors): order " << prom->order()
               << " vs full order " << prom->full_order()
+              << ", error estimate " << Table::num(estimate, 3)
               << ", engine warm-up " << Table::num(build_s * 1e3, 4)
               << " ms\n"
               << v.probes << " interior probes vs sparse MNA: max noise err "
@@ -93,8 +98,10 @@ void print_reproduction() {
     bench::json().set("prom_build_s", build_s);
     bench::json().set("prom_order", prom->order());
     bench::json().set("prom_full_order", prom->full_order());
+    bench::json().set("prom_error_estimate", estimate);
     bench::json().set("prom_max_noise_rel_err", v.max_noise_rel_err);
     bench::json().set("prom_max_delay_rel_err", v.max_delay_rel_err);
+    bench::check(estimate <= 1e-5, "ROM error estimate above 1e-5");
     bench::check(v.max_noise_rel_err <= 0.01 && v.max_delay_rel_err <= 0.01,
                  "interior probe error above 1 %");
   }

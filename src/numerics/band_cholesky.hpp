@@ -51,31 +51,20 @@ class BandCholesky {
     n_ = g.rows();
     w_ = w;
     const std::size_t ld = w + 1;
-    // Row i of l_ holds K(i, i-w .. i) at [i * ld + (col - i + w)]. Upper
-    // entries land transposed in `mirror`, so exact symmetry is one
-    // element-wise compare of the strictly lower slots.
+    // Row i of l_ holds K(i, i-w .. i) at [i * ld + (col - i + w)]; only
+    // the lower triangle is scattered.
     l_.assign(n_ * ld, 0.0);
-    std::vector<double> mirror(n_ * ld, 0.0);
-    const auto scatter = [&](const SparseMatrix& a, double scale) {
+    const auto scatter_lower = [&](const SparseMatrix& a, double scale) {
       for (std::size_t r = 0; r < n_; ++r) {
         for (std::size_t t = a.row_ptr()[r]; t < a.row_ptr()[r + 1]; ++t) {
           const std::size_t col = a.col_indices()[t];
-          const double v = scale * a.values()[t];
-          if (col <= r) {
-            l_[r * ld + col + w - r] += v;
-          } else {
-            mirror[col * ld + r + w - col] += v;
-          }
+          if (col <= r) l_[r * ld + col + w - r] += scale * a.values()[t];
         }
       }
     };
-    scatter(g, 1.0);
-    if (s != 0.0) scatter(c, s);
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t k = 0; k < w; ++k) {
-        if (l_[i * ld + k] != mirror[i * ld + k]) return false;
-      }
-    }
+    scatter_lower(g, 1.0);
+    if (s != 0.0) scatter_lower(c, s);
+    if (!symmetric(g, c, s)) return false;
 
     for (std::size_t i = 0; i < n_; ++i) {
       double* li = &l_[i * ld];
@@ -140,6 +129,44 @@ class BandCholesky {
   }
 
  private:
+  /// Exact symmetry of K against the scattered lower triangle: each upper
+  /// entry K(r, col), summed in the order its lower slot was (G's terms,
+  /// then s C's), equals the slot K(col, r), and no lower slot is nonzero
+  /// without such an entry. Rows are sorted by column, as every producer
+  /// of a SparseMatrix here builds them.
+  bool symmetric(const SparseMatrix& g, const SparseMatrix& c,
+                 double s) const {
+    const std::size_t ld = w_ + 1;
+    std::size_t upper_nonzeros = 0;
+    for (std::size_t r = 0; r < n_; ++r) {
+      std::size_t i = g.row_ptr()[r];
+      const std::size_t ie = g.row_ptr()[r + 1];
+      std::size_t j = s == 0.0 ? 0 : c.row_ptr()[r];
+      const std::size_t je = s == 0.0 ? 0 : c.row_ptr()[r + 1];
+      for (;;) {
+        while (i < ie && g.col_indices()[i] <= r) ++i;
+        while (j < je && c.col_indices()[j] <= r) ++j;
+        if (i == ie && j == je) break;
+        const std::size_t col = std::min(i < ie ? g.col_indices()[i] : n_,
+                                         j < je ? c.col_indices()[j] : n_);
+        double sum = 0.0;
+        for (; i < ie && g.col_indices()[i] == col; ++i) sum += g.values()[i];
+        for (; j < je && c.col_indices()[j] == col; ++j) {
+          sum += s * c.values()[j];
+        }
+        if (sum != l_[col * ld + r + w_ - col]) return false;
+        if (sum != 0.0) ++upper_nonzeros;
+      }
+    }
+    std::size_t lower_nonzeros = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t k = 0; k < w_; ++k) {
+        if (l_[i * ld + k] != 0.0) ++lower_nonzeros;
+      }
+    }
+    return lower_nonzeros == upper_nonzeros;
+  }
+
   static std::size_t half_bandwidth_of(const SparseMatrix& a) {
     std::size_t w = 0;
     for (std::size_t r = 0; r < a.rows(); ++r) {

@@ -20,6 +20,15 @@ using detail::dot;
 using detail::norm2;
 using numerics::MatrixD;
 
+/// A driven ROM stops adding Krylov levels at the first level whose
+/// estimated relative KPI error is at most this (100x under the 1e-3 the
+/// MNA differential tests gate on: the estimate is a heuristic).
+constexpr double kOrderTolerance = 1e-5;
+/// Krylov vectors each driven corner is reduced with: the level ceiling.
+constexpr std::size_t kMaxLevels = 8;
+/// Steps of the fixed grid the order estimate evaluates on.
+constexpr int kEstimateSteps = 200;
+
 std::array<double, 3> point_values(const BusTechPoint& p) {
   return {p.resistance_scale, p.capacitance_scale, p.coupling_scale};
 }
@@ -41,6 +50,42 @@ circuit::BusDrive drive_of(int aggressor, const BusScenario& sc) {
   drive.edge_time_s = sc.edge_time_s;
   drive.receiver_load_f = sc.receiver_load_f;
   return drive;
+}
+
+/// Relative (noise, delay) errors of `x` against the reference `ref`:
+/// noise against |ref peak| (at least 1e-12 vdd), delay against the ref
+/// delay; a delay that crosses on one side only counts as 1.
+std::pair<double, double> kpi_errors(const circuit::BusCrosstalkResult& x,
+                                     const circuit::BusCrosstalkResult& ref,
+                                     double vdd_v) {
+  const double noise_den = std::max(std::abs(ref.peak_noise_v), 1e-12 * vdd_v);
+  const double noise = std::abs(x.peak_noise_v - ref.peak_noise_v) / noise_den;
+  const bool x_nan = std::isnan(x.aggressor_delay_s);
+  const bool ref_nan = std::isnan(ref.aggressor_delay_s);
+  if (x_nan != ref_nan) return {noise, 1.0};
+  if (ref_nan) return {noise, 0.0};
+  return {noise, std::abs(x.aggressor_delay_s - ref.aggressor_delay_s) /
+                     ref.aggressor_delay_s};
+}
+
+/// Absorbs `w` into the orthonormal `basis` by the MGS +
+/// reorthogonalization + deflation scheme prima_reduce uses; a direction
+/// that deflates is dropped.
+void absorb(std::vector<std::vector<double>>& basis, std::vector<double>& w,
+            double deflation_tol) {
+  const double initial = norm2(w);
+  if (initial == 0.0) return;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& v : basis) {
+      const double h = dot(v, w);
+      if (h == 0.0) continue;
+      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= h * v[i];
+    }
+  }
+  const double remaining = norm2(w);
+  if (remaining <= deflation_tol * initial) return;
+  for (double& x : w) x /= remaining;
+  basis.push_back(std::move(w));
 }
 
 /// Deterministic interior probe fraction for validate_against_mna: a
@@ -117,7 +162,6 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   full_order_ = ss.size;
   input_names_ = ss.input_names;
   output_names_ = ss.output_names;
-  const std::size_t n = static_cast<std::size_t>(full_order_);
   std::vector<std::vector<std::vector<double>>> corner_bases;
   corner_bases.reserve(corner_points_.size());
   for (const BusTechPoint& cp : corner_points_) {
@@ -128,7 +172,9 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
     if (opt.order <= 0) {
       // A driven corner has one input, so its Krylov space grows one
       // vector per moment instead of one block of 2 * lines.
-      opt.order = std::min(drive_ ? 8 : 6 * topology_.lines, ss.size / 2);
+      opt.order = std::min(drive_ ? static_cast<int>(kMaxLevels)
+                                  : 6 * topology_.lines,
+                           ss.size / 2);
     }
     if (opt.expansion_rad_per_s <= 0.0) {
       opt.expansion_rad_per_s = nominal_s0;
@@ -137,50 +183,109 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
     corner_bases.push_back(prima_reduce(ss, opt).basis());
   }
 
-  // Merge the corner bases into one orthonormal basis. A single corner
-  // keeps its PRIMA basis verbatim; otherwise the same MGS +
-  // reorthogonalization + deflation scheme prima_reduce uses absorbs each
-  // corner's vectors in corner order.
+  if (drive_) {
+    select_driven_order(bare, ss, corner_bases, corner_options.deflation_tol);
+    return;
+  }
+  // A bare ROM absorbs the corners in corner order; a single corner keeps
+  // its PRIMA basis verbatim.
   std::vector<std::vector<double>> basis;
   if (corner_bases.size() == 1) {
     basis = std::move(corner_bases.front());
   } else {
     const obs::ObsSpan merge_span("prom.merge", "rom");
     for (auto& cb : corner_bases) {
-      for (auto& w : cb) {
-        const double initial = norm2(w);
-        if (initial == 0.0) continue;
-        for (int pass = 0; pass < 2; ++pass) {
-          for (const auto& v : basis) {
-            const double h = dot(v, w);
-            if (h == 0.0) continue;
-            for (std::size_t i = 0; i < n; ++i) w[i] -= h * v[i];
-          }
-        }
-        const double remaining = norm2(w);
-        if (remaining <= corner_options.deflation_tol * initial) continue;
-        for (double& x : w) x /= remaining;
-        basis.push_back(std::move(w));
-      }
+      for (auto& w : cb) absorb(basis, w, corner_options.deflation_tol);
     }
   }
-  basis_size_ = basis.size();
+  projection_ = project(bare, ss, basis);
+}
 
-  // Project each component — the stamp at a unit coefficient — once
-  // through the common basis (prima_reduce's congruence projection). A
-  // part whose coefficient is zero — the drive parts of a bare ROM, a zero
-  // load — never enters model_at.
+void ParametrizedBusRom::select_driven_order(
+    const BusStateSpace& bare, const StateSpace& ss,
+    std::vector<std::vector<std::vector<double>>>& corner_bases,
+    double deflation_tol) {
+  // Level j absorbs vector j of every corner before vector j + 1 of any,
+  // so each level's basis extends the previous one, and the level-j model
+  // is bitwise the leading block of the level-(j + 1) model
+  // (project_matrix sums every entry as dot(v_i, A v_j)). The estimate of
+  // a level is the largest relative KPI change to the next level, on a
+  // fixed grid at the box centre and two opposite corners (none of them
+  // validate_against_mna's interior probes). The first level at or under
+  // kOrderTolerance is kept; at the ceiling, or when a level deflates to
+  // nothing, the last level is kept with the change into it (0 for a lone
+  // level).
+  const obs::ObsSpan select_span("prom.select_order", "rom");
+  BusScenario sc;
+  sc.driver_ohm = drive_->driver_ohm;
+  sc.receiver_load_f = drive_->receiver_load_f;
+  sc.vdd_v = drive_->vdd_v;
+  sc.edge_time_s = drive_->edge_time_s;
+  const BusTechPoint centre{
+      (box_.lo.resistance_scale + box_.hi.resistance_scale) / 2.0,
+      (box_.lo.capacitance_scale + box_.hi.capacitance_scale) / 2.0,
+      (box_.lo.coupling_scale + box_.hi.coupling_scale) / 2.0};
+  const std::array<BusTechPoint, 3> points = {centre, box_.lo, box_.hi};
+
+  std::vector<std::vector<double>> basis;
+  Projection kept;
+  std::vector<circuit::BusCrosstalkResult> kept_kpis;
+  double estimate = 0.0;
+  for (std::size_t level = 0; level < kMaxLevels; ++level) {
+    const std::size_t before = basis.size();
+    {
+      const obs::ObsSpan merge_span("prom.merge", "rom");
+      for (auto& cb : corner_bases) {
+        if (level < cb.size()) absorb(basis, cb[level], deflation_tol);
+      }
+    }
+    if (basis.size() == before) break;  // the Krylov space is exhausted
+    Projection next = project(bare, ss, basis);
+    std::vector<circuit::BusCrosstalkResult> kpis;
+    for (const BusTechPoint& p : points) {
+      kpis.push_back(evaluate_driven_bus(model(next, p), aggressor_, sc,
+                                         window_s(p, sc), kEstimateSteps));
+    }
+    if (!kept_kpis.empty()) {
+      estimate = 0.0;
+      for (std::size_t k = 0; k < points.size(); ++k) {
+        const auto [noise, delay] = kpi_errors(kept_kpis[k], kpis[k], sc.vdd_v);
+        estimate = std::max({estimate, noise, delay});
+      }
+      if (estimate <= kOrderTolerance) break;
+    }
+    kept = std::move(next);
+    kept_kpis = std::move(kpis);
+  }
+  projection_ = std::move(kept);
+
+  static const obs::Gauge order_gauge = obs::gauge("cnti.rom.order");
+  static const obs::Gauge estimate_gauge =
+      obs::gauge("cnti.rom.error_estimate");
+  order_gauge.set(static_cast<double>(order()));
+  estimate_gauge.set(estimate);
+}
+
+ParametrizedBusRom::Projection ParametrizedBusRom::project(
+    const BusStateSpace& bare, const StateSpace& ss,
+    const std::vector<std::vector<double>>& basis) const {
+  // Each component — the stamp at a unit coefficient — is projected
+  // through the basis (prima_reduce's congruence projection). A part whose
+  // coefficient is zero — the drive parts of a bare ROM, a zero load —
+  // never enters a model.
   const obs::ObsSpan project_span("prom.project", "rom");
   const BusTheta nominal = theta_at(drive_, BusTechPoint{});
-  for (std::size_t k = 0; k < parts_r_.size(); ++k) {
+  Projection out;
+  for (std::size_t k = 0; k < out.parts.size(); ++k) {
     if (nominal[k] == 0.0) continue;
     BusTheta unit{};
     unit[k] = 1.0;
-    parts_r_[k] = detail::project_matrix(k < 3 ? bare.g(unit) : bare.c(unit),
-                                         basis);
+    out.parts[k] = detail::project_matrix(k < 3 ? bare.g(unit) : bare.c(unit),
+                                          basis);
   }
-  br_ = detail::project_ports(ss.b, basis);
-  lr_ = detail::project_ports(ss.l, basis);
+  out.br = detail::project_ports(ss.b, basis);
+  out.lr = detail::project_ports(ss.l, basis);
+  return out;
 }
 
 circuit::BusTopology ParametrizedBusRom::topology_at(
@@ -200,20 +305,24 @@ ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
     CNTI_EXPECTS(values[a] >= lo[a] && values[a] <= hi[a],
                  "ParametrizedBusRom: technology point outside the box");
   }
+  return model(projection_, p);
+}
 
+ReducedModel ParametrizedBusRom::model(const Projection& proj,
+                                       const BusTechPoint& p) const {
   const BusTheta theta = theta_at(drive_, p);
-  const std::size_t q = basis_size_;
+  const std::size_t q = proj.br.rows();
   MatrixD gr(q, q), cr(q, q);
-  for (std::size_t k = 0; k < parts_r_.size(); ++k) {
+  for (std::size_t k = 0; k < proj.parts.size(); ++k) {
     if (theta[k] == 0.0) continue;
     MatrixD& dst = k < 3 ? gr : cr;
-    const MatrixD& part = parts_r_[k];
+    const MatrixD& part = proj.parts[k];
     for (std::size_t i = 0; i < q; ++i) {
       for (std::size_t j = 0; j < q; ++j) dst(i, j) += theta[k] * part(i, j);
     }
   }
-  return ReducedModel(std::move(gr), std::move(cr), br_, lr_, input_names_,
-                      output_names_, full_order_);
+  return ReducedModel(std::move(gr), std::move(cr), proj.br, proj.lr,
+                      input_names_, output_names_, full_order_);
 }
 
 double ParametrizedBusRom::window_s(const BusTechPoint& p,
@@ -257,22 +366,9 @@ ParamRomValidation ParametrizedBusRom::validate_against_mna(
         circuit::build_bus_netlist(t), t, drive_of(aggressor_, sc),
         time_steps);
 
-    const double noise_den =
-        std::max(std::abs(mna_res.peak_noise_v), 1e-12 * sc.vdd_v);
-    out.max_noise_rel_err =
-        std::max(out.max_noise_rel_err,
-                 std::abs(rom_res.peak_noise_v - mna_res.peak_noise_v) /
-                     noise_den);
-    const bool rom_nan = std::isnan(rom_res.aggressor_delay_s);
-    const bool mna_nan = std::isnan(mna_res.aggressor_delay_s);
-    if (rom_nan != mna_nan) {
-      out.max_delay_rel_err = std::max(out.max_delay_rel_err, 1.0);
-    } else if (!mna_nan) {
-      out.max_delay_rel_err = std::max(
-          out.max_delay_rel_err,
-          std::abs(rom_res.aggressor_delay_s - mna_res.aggressor_delay_s) /
-              mna_res.aggressor_delay_s);
-    }
+    const auto [noise, delay] = kpi_errors(rom_res, mna_res, sc.vdd_v);
+    out.max_noise_rel_err = std::max(out.max_noise_rel_err, noise);
+    out.max_delay_rel_err = std::max(out.max_delay_rel_err, delay);
   }
   static const obs::Gauge error_gauge =
       obs::gauge("cnti.rom.validate_error_pct");

@@ -71,16 +71,20 @@ class ParametrizedBusRom {
   /// every far end, terminate_bus's port shape) and is reduced as a
   /// one-input system — current into the aggressor head, observing the
   /// far ends. The drive coefficients do not depend on the technology
-  /// point. Each corner gets 8 Krylov vectors, expanded at
-  /// 20 / bus_settle_time_s under `drive`. evaluate() then accepts only
-  /// scenarios with the reduced driver and load.
+  /// point. Each corner gets up to 8 Krylov vectors, expanded at
+  /// 20 / bus_settle_time_s under `drive`; the merged basis grows one
+  /// vector per corner at a time until the KPIs change by at most 1e-5
+  /// relative between successive levels (the chosen order and its
+  /// estimate are the cnti.rom.order / cnti.rom.error_estimate gauges).
+  /// evaluate() then accepts only scenarios with the reduced driver and
+  /// load.
   ParametrizedBusRom(const circuit::BusTopology& nominal,
                      const BusTechBox& box, const circuit::BusDrive& drive);
 
   int lines() const { return topology_.lines; }
   int full_order() const { return full_order_; }
   /// Merged-basis size: every model is order() x order().
-  int order() const { return static_cast<int>(basis_size_); }
+  int order() const { return static_cast<int>(projection_.br.rows()); }
   int corners() const { return static_cast<int>(corner_points_.size()); }
   int aggressor() const { return aggressor_; }
   const circuit::BusTopology& nominal_topology() const { return topology_; }
@@ -121,20 +125,35 @@ class ParametrizedBusRom {
                                           int time_steps = 1500) const;
 
  private:
+  /// The merged-basis projection every model is summed from.
+  struct Projection {
+    /// V^T A_k V of each bus component (a bare ROM leaves the drive parts
+    /// empty).
+    std::array<numerics::MatrixD, 6> parts;
+    numerics::MatrixD br, lr;  ///< Port maps: identical at every corner.
+  };
+
   /// Reduces every corner and merges/projects (both constructors).
   void build(PrimaOptions corner_options);
+  /// Merges a driven ROM's corner bases one Krylov level at a time and
+  /// keeps the first level whose estimated error meets the bound.
+  void select_driven_order(
+      const BusStateSpace& bare, const StateSpace& ss,
+      std::vector<std::vector<std::vector<double>>>& corner_bases,
+      double deflation_tol);
+  /// Projects the components and port maps through `basis`.
+  Projection project(const BusStateSpace& bare, const StateSpace& ss,
+                     const std::vector<std::vector<double>>& basis) const;
+  /// The model at `p` summed from `proj` (no box check).
+  ReducedModel model(const Projection& proj, const BusTechPoint& p) const;
 
   circuit::BusTopology topology_;  ///< Anchor (scale = 1) topology.
   BusTechBox box_;
   int aggressor_ = 0;
   std::optional<circuit::BusDrive> drive_;  ///< Set for a driven ROM.
   int full_order_ = 0;
-  std::size_t basis_size_ = 0;
   std::vector<BusTechPoint> corner_points_;
-  /// V^T A_k V of each bus component through the merged basis (a bare
-  /// ROM leaves the drive parts empty).
-  std::array<numerics::MatrixD, 6> parts_r_;
-  numerics::MatrixD br_, lr_;  ///< Port maps: identical at every corner.
+  Projection projection_;
   std::vector<std::string> input_names_, output_names_;
 };
 

@@ -282,7 +282,10 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // .v6 (2026-10-19): the bus components are projected once and summed
   // with the point's coefficients instead of blending 8 projected corners;
   // last bits of every sampled model move.
-  KeyHasher prom_key("stage.bus-prom.v6");
+  // .v7 (2026-10-19): the driven basis grows a Krylov level at a time until
+  // the estimated error is at most 1e-5 (q 51 -> 24 on the paper-bus
+  // study); the merged order and last bits of every sampled model move.
+  KeyHasher prom_key("stage.bus-prom.v7");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

@@ -410,6 +410,29 @@ TEST(BandCholesky, DeclinesNonSymmetricAndTooWidePencils) {
   EXPECT_THROW(band.solve({1.0}), cnti::PreconditionError);
 }
 
+TEST(BandCholesky, SymmetryCheckPairsEveryEntryWithItsTranspose) {
+  // 2 x 2 pencils as raw CSR rows: a lower entry without its transpose is
+  // asymmetric, an explicitly stored zero on one side is not.
+  const cn::SparseMatrix none;
+  const auto rows = [](std::vector<std::size_t> row_ptr,
+                       std::vector<std::size_t> col, std::vector<double> val) {
+    return cn::SparseMatrix(2, 2, std::move(row_ptr), std::move(col),
+                            std::move(val));
+  };
+  cn::BandCholesky band;
+  EXPECT_FALSE(band.factorize(rows({0, 1, 3}, {0, 0, 1}, {2.0, 0.5, 2.0}),
+                              none, 0.0, 1));
+  EXPECT_FALSE(band.factorize(rows({0, 2, 3}, {0, 1, 1}, {2.0, 0.5, 2.0}),
+                              none, 0.0, 1));
+  EXPECT_TRUE(band.factorize(rows({0, 2, 3}, {0, 1, 1}, {2.0, 0.0, 2.0}),
+                             none, 0.0, 1));
+  EXPECT_TRUE(band.factorize(rows({0, 1, 3}, {0, 0, 1}, {2.0, 0.0, 2.0}),
+                             none, 0.0, 1));
+  // G's lower entry balanced by C's upper one at the shift.
+  EXPECT_TRUE(band.factorize(rows({0, 1, 3}, {0, 0, 1}, {2.0, 0.5, 2.0}),
+                             rows({0, 1, 1}, {1}, {0.25}), 2.0, 1));
+}
+
 TEST(Roots, BrentFindsCosRoot) {
   const double r = cn::find_root_brent([](double x) { return std::cos(x); },
                                        1.0, 2.0);
