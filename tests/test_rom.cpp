@@ -12,8 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <optional>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +41,7 @@ namespace cir = cnti::circuit;
 namespace cc = cnti::core;
 namespace obs = cnti::obs;
 namespace rom = cnti::rom;
-namespace sc = cnti::scenario;
+namespace scenario = cnti::scenario;
 
 namespace {
 
@@ -1256,17 +1256,17 @@ TEST(ParamRom, DrivenOrderGrowsUntilTheEstimateMeetsTheBound) {
   // meets that at three levels; the 10 kOhm / 0.1 fF drive on this
   // 16 x 128 bus still moves by more than 1e-5 at three levels, so the
   // loop must go deeper, and the order it keeps meets the bound.
-  sc::Scenario s;
+  scenario::Scenario s;
   s.workload.bus_lines = 16;
   s.workload.bus_segments = 128;
   s.workload.coupling_cap_af_per_um = 30.0;
   s.analysis.noise = true;
-  s.analysis.noise_model = sc::NoiseModel::kReducedOrder;
+  s.analysis.noise_model = scenario::NoiseModel::kReducedOrder;
   s.variability.samples = 1;
   s.variability.resistance_span = 0.15;
   s.variability.capacitance_span = 0.10;
   s.variability.coupling_span = 0.20;
-  const auto study_rom = sc::ScenarioEngine().statistical_rom(s);
+  const auto study_rom = scenario::ScenarioEngine().statistical_rom(s);
   EXPECT_EQ(obs::metrics_snapshot().gauges.at("cnti.rom.order"),
             study_rom->order());
   EXPECT_LE(rom_error_estimate(), 1e-5);
@@ -1275,7 +1275,7 @@ TEST(ParamRom, DrivenOrderGrowsUntilTheEstimateMeetsTheBound) {
   drive.driver_ohm = 10e3;
   drive.receiver_load_f = 0.1e-15;
   const rom::ParametrizedBusRom deep(paper_bus(16, 128),
-                                     sc::tech_box(s.variability), drive);
+                                     scenario::tech_box(s.variability), drive);
   EXPECT_LE(rom_error_estimate(), 1e-5);
   EXPECT_GT(deep.order(), study_rom->order());
 }
