@@ -12,10 +12,12 @@
 // at half of that so VM noise does not flip it.
 //
 // A second table is the reduction ladder behind PRIMA's factor choice:
-// on the terminated 16x64, 16x128, 32x640 and 64x1024 bus pencils it
-// times the sparse LU and the banded Cholesky factor (fresh
-// factorization, as in one reduction) and 12 solves each, and checks the
-// band solves' backward error. rom::kBandMaxHalfWidth is set from it.
+// on the terminated 16x64, 16x128, 32x640 and 64x1024 bus pencils, stamped
+// in their line modes, it times the sparse LU and the banded Cholesky
+// factor (fresh factorization, as in one reduction) and 12 solves each,
+// and checks that every band factor is half-bandwidth 1
+// (cnti.solver.nnz_lu == 2 n: a nodal stamp would be as wide as the line
+// count) and the band solves' backward error.
 //
 // Metrics land in BENCH_bench_rom_scaling.json when CNTI_BENCH_JSON is
 // set (see bench_common.hpp), which is where the perf trajectory tracking
@@ -35,9 +37,9 @@
 #include "numerics/band_cholesky.hpp"
 #include "numerics/rng.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
-#include "rom/prima.hpp"
 
 namespace {
 
@@ -102,9 +104,9 @@ void print_reduction_ladder() {
     int lines, segments, reps;
   };
   constexpr int kSolves = 12;
-  Table t({"bus", "n", "half-bw", "LU factor [ms]", "band factor [ms]",
-           "band / LU", "12 solves LU / band [ms]", "nnz(L+U)",
-           "band entries", "band vs LU", "band backward err"});
+  Table t({"bus (modal)", "n", "band half-bw", "LU factor [ms]",
+           "band factor [ms]", "band / LU", "12 solves LU / band [ms]",
+           "LU nnz(L+U)", "band nnz_lu", "band vs LU", "band backward err"});
   bool band_wins_everywhere = true;
   for (const Rung r : {Rung{16, 64, 20}, Rung{16, 128, 10},
                        Rung{32, 640, 3}, Rung{64, 1024, 2}}) {
@@ -139,6 +141,7 @@ void print_reduction_ladder() {
           bench::check(band.factorize(ss.g, ss.c, s0, pencil.rows()),
                        "band factor declined a symmetric bus pencil");
         });
+    const double band_nnz = obs::gauge("cnti.solver.nnz_lu").value();
     numerics::Rng rng(1);
     std::vector<std::vector<double>> rhs(kSolves,
                                          std::vector<double>(pencil.rows()));
@@ -195,11 +198,15 @@ void print_reduction_ladder() {
                Table::num(t_band / t_lu, 3),
                Table::num(1e3 * s_lu, 3) + " / " + Table::num(1e3 * s_band, 3),
                std::to_string(lu.nnz_l() + lu.nnz_u()),
-               std::to_string(n * (w + 1)), Table::num(max_rel, 3),
+               std::to_string(static_cast<std::size_t>(band_nnz)),
+               Table::num(max_rel, 3),
                Table::num(backward, 3)});
-    if (w <= rom::kBandMaxHalfWidth && t_band >= t_lu) {
+    if (t_band >= t_lu) {
       band_wins_everywhere = false;
     }
+    bench::check(band_nnz == 2.0 * static_cast<double>(n),
+                 "band factor of the " + tag +
+                     " bus is not half-bandwidth 1 (nnz_lu != 2n)");
     bench::check(backward <= 1e-14,
                  "band solve backward error above 1e-14 on " + tag);
     bench::json().set("lu_factor_ms_" + tag, 1e3 * t_lu);
@@ -211,10 +218,9 @@ void print_reduction_ladder() {
             << " solves of the terminated bus pencil, min of interleaved "
                "rounds):\n";
   t.print(std::cout);
-  std::cout << "PRIMA's band bound kBandMaxHalfWidth = "
-            << rom::kBandMaxHalfWidth << ": the band factor "
+  std::cout << "The band factor "
             << (band_wins_everywhere ? "beats" : "does NOT beat")
-            << " the sparse LU on every rung up to that width\n";
+            << " the sparse LU on every rung\n";
 }
 
 void print_reproduction() {

@@ -1,16 +1,16 @@
 // Scenario-engine acceptance bench: a mixed 576-scenario batch
 // (length x doping x driver x load) with delay + bus-noise + thermal KPIs
-// per scenario. The content-keyed memo cache shares one bare bus
-// extraction, one capacitance stage and one thermal solve per
-// (length, doping) technology corner across all driver/load scenarios,
-// while every drive reduces its own terminated bus; the uncached engine
-// recomputes every stage per scenario (measured on a deterministic stride
-// subset and extrapolated). Acceptance, enforced through bench::check so
-// a failure exits non-zero: cached results bitwise equal to uncached,
-// exactly one PRIMA reduction per scenario (576) and one bare extraction
-// per technology corner (16). The cached/uncached wall ratio is reported,
-// not gated: a per-drive reduction is cheap, so caching the bare system
-// buys little beyond the shared line stages.
+// per scenario. The content-keyed memo cache shares one capacitance stage
+// and one thermal solve per (length, doping) technology corner across all
+// driver/load scenarios, while every drive stamps and reduces its own
+// terminated bus; the uncached engine recomputes every stage per scenario
+// (measured on a deterministic stride subset and extrapolated).
+// Acceptance, enforced through bench::check so a failure exits non-zero:
+// cached results bitwise equal to uncached, exactly one PRIMA reduction
+// per scenario (576) and one thermal solve per technology corner (16).
+// The cached/uncached wall ratio is reported, not gated: a per-drive
+// reduction is cheap, so the cache buys little beyond the shared line
+// stages.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -72,10 +72,10 @@ void print_reproduction() {
       "Scenario engine — cached vs uncached mixed batch",
       "length x doping x driver x load batch through the full "
       "atomistic -> C_E -> compact -> ROM-noise/delay -> thermal stage "
-      "graph. The memo cache shares one bare bus extraction / capacitance "
-      "/ thermal solve per technology corner and every drive reduces its "
-      "own terminated bus; acceptance is bit-identical cached and uncached "
-      "results, one reduction per scenario and one extraction per corner.");
+      "graph. The memo cache shares one capacitance / thermal solve per "
+      "technology corner and every drive reduces its own terminated bus; "
+      "acceptance is bit-identical cached and uncached results, one "
+      "reduction per scenario and one thermal solve per corner.");
 
   const auto batch = mixed_batch();
   const std::size_t n = batch.size();
@@ -125,7 +125,7 @@ void print_reproduction() {
 
   const double speedup = t_uncached_est / t_cached;
   const double cached_ms = 1e3 * t_cached / static_cast<double>(n);
-  const auto bare_stats = cached.cache().stats(scenario::stage::kBusSystem);
+  const auto thermal_stats = cached.cache().stats(scenario::stage::kThermal);
   const auto total = cached.cache().total_stats();
 
   Table t({"path", "scenarios", "wall [s]", "per scenario [ms]"});
@@ -140,10 +140,10 @@ void print_reproduction() {
                         4)});
   t.print(std::cout);
 
-  std::cout << "\nCache: " << bare_stats.misses
-            << " bare bus extractions and " << cached_reductions
-            << " PRIMA reductions for " << n << " scenarios ("
-            << bare_stats.hits << " bare-system hits); " << total.hits
+  std::cout << "\nCache: " << cached_reductions << " PRIMA reductions and "
+            << thermal_stats.misses << " thermal solves for " << n
+            << " scenarios (" << thermal_stats.hits << " thermal hits); "
+            << total.hits
             << " total hits / " << total.misses
             << " misses across all stages\n";
   std::cout << "Cached " << Table::num(cached_ms, 4) << " ms/scenario, "
@@ -154,9 +154,9 @@ void print_reproduction() {
   bench::check(cached_reductions == n,
                "cnti.rom.reductions != one per scenario (" +
                    std::to_string(cached_reductions) + ")");
-  bench::check(bare_stats.misses == kCorners,
-               "bare-system stage misses != one per technology corner (" +
-                   std::to_string(bare_stats.misses) + ")");
+  bench::check(thermal_stats.misses == kCorners,
+               "thermal stage misses != one per technology corner (" +
+                   std::to_string(thermal_stats.misses) + ")");
 
   bench::json().set("scenarios", static_cast<double>(n));
   bench::json().set("uncached_subset", static_cast<double>(subset.size()));
@@ -166,8 +166,8 @@ void print_reproduction() {
   bench::json().set("uncached_est_s", t_uncached_est);
   bench::json().set("speedup", speedup);
   bench::json().set("rom_reductions", static_cast<double>(cached_reductions));
-  bench::json().set("bare_bus_extractions",
-                    static_cast<double>(bare_stats.misses));
+  bench::json().set("thermal_solves",
+                    static_cast<double>(thermal_stats.misses));
   bench::json().set("cache_hits", static_cast<double>(total.hits));
   bench::json().set("cache_misses", static_cast<double>(total.misses));
   bench::json().set("bit_identical", identical ? 1.0 : 0.0);

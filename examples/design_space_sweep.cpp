@@ -73,8 +73,8 @@ int main() {
   std::cout << "\nKPI map written to scenario_kpis.csv / scenario_kpis.json "
             << "(cache: " << cache_total.hits << " hits / "
             << cache_total.misses << " misses — "
-            << engine.cache().stats(scenario::stage::kBusSystem).misses
-            << " bare-bus extractions served " << kpis.size()
+            << engine.cache().stats(scenario::stage::kBusRomEval).misses
+            << " per-drive bus reductions served " << kpis.size()
             << " scenarios)\n\n";
 
   // --- 2) Variability Monte Carlo map (paper Sec. II.A / III.C). ---------

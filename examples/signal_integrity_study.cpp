@@ -162,11 +162,10 @@ int main() {
                        Table::num(units::to_ps(d_max), 3)});
   }
   rom_t.print(std::cout);
-  const auto bus_stats = engine.cache().stats(scenario::stage::kBusSystem);
-  std::cout << "\n   cache: " << bus_stats.misses
-            << " bare-bus extractions for " << results.size()
-            << " scenarios (" << bus_stats.hits
-            << " hits) — every drive reduced its length's bare system\n";
+  const auto eval_stats = engine.cache().stats(scenario::stage::kBusRomEval);
+  std::cout << "\n   cache: " << eval_stats.misses
+            << " per-drive bus reductions for " << results.size()
+            << " scenarios (" << eval_stats.hits << " hits)\n";
 
   // Corner cross-check: the same corner scenario through the full
   // sparse-MNA noise stage must confirm the cached ROM numbers.

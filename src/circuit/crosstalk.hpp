@@ -84,8 +84,8 @@ struct BusCrosstalkResult {
 /// no stimulus source, driver resistors or receiver loads. head[l]/far[l]
 /// are the driver-side and receiver-side terminals of line l, which is
 /// where analyze_bus_crosstalk attaches its terminations. The ROM layer's
-/// rom::stamp_bus writes the same bus straight into matrices, in this
-/// node order; this netlist is its test oracle.
+/// rom::stamp_bus writes the same bus straight into matrices, in its line
+/// modes; this netlist, rotated by the same DCT, is its test oracle.
 struct BusNetlist {
   Circuit ckt;
   std::vector<NodeId> head;

@@ -1,11 +1,13 @@
 // Banded Cholesky factor of a symmetric positive-definite pencil
 // K = G + s C, filled straight from the sorted CSR rows of G and C. The
-// terminated RC bus has no branch rows, so its pencil is exactly symmetric
-// and, in the extracted segment-major order, its half-bandwidth w is the
-// line count: K = L L^T then costs n w^2 / 2 multiply-adds with no
-// symbolic analysis, no pivot search and no fill outside the band. There
-// is no pivoting, so the factor is deterministic; a non-positive pivot
-// (K not positive definite) throws NumericalError.
+// terminated RC bus has no branch rows, so its pencil is exactly symmetric,
+// and stamped in its line modes (rom::BusStateSpace) it is N decoupled
+// tridiagonal chains: half-bandwidth w = 1. K = L L^T costs n w^2 / 2
+// multiply-adds with no symbolic analysis, no pivot search and no fill
+// outside the band. L keeps reciprocal pivots, so at w = 1 a solve is a
+// chain of multiplies, not divisions. There is no pivoting, so the factor
+// is deterministic; a non-positive pivot (K not positive definite) throws
+// NumericalError.
 //
 // Structure decides the path: factorize() declines (returns false) when K
 // is not exactly symmetric or is wider than the caller's bound, and the
@@ -52,7 +54,8 @@ class BandCholesky {
     w_ = w;
     const std::size_t ld = w + 1;
     // Row i of l_ holds K(i, i-w .. i) at [i * ld + (col - i + w)]; only
-    // the lower triangle is scattered.
+    // the lower triangle is scattered. Once factored, the diagonal slot
+    // holds 1 / L(i, i).
     l_.assign(n_ * ld, 0.0);
     const auto scatter_lower = [&](const SparseMatrix& a, double scale) {
       for (std::size_t r = 0; r < n_; ++r) {
@@ -75,7 +78,7 @@ class BandCholesky {
         for (std::size_t k = j0; k < j; ++k) {
           sum -= li[k + w - i] * lj[k + w - j];
         }
-        li[j + w - i] = sum / lj[w];
+        li[j + w - i] = sum * lj[w];
       }
       double d = li[w];
       for (std::size_t k = j0; k < i; ++k) d -= li[k + w - i] * li[k + w - i];
@@ -83,7 +86,7 @@ class BandCholesky {
         throw NumericalError(
             "BandCholesky: matrix is not positive definite (pivot <= 0)");
       }
-      li[w] = std::sqrt(d);
+      li[w] = 1.0 / std::sqrt(d);
     }
     factored_ = true;
     fulls.add();
@@ -113,13 +116,13 @@ class BandCholesky {
       for (std::size_t k = i > w ? i - w : 0; k < i; ++k) {
         sum -= li[k + w - i] * x[k];
       }
-      x[i] = sum / li[w];
+      x[i] = sum * li[w];
     }
     // L^T x = y by columns of L^T (rows of L), so every update is a
     // contiguous row read.
     for (std::size_t i = n_; i-- > 0;) {
       const double* li = &l_[i * ld];
-      const double xi = x[i] / li[w];
+      const double xi = x[i] * li[w];
       x[i] = xi;
       for (std::size_t k = i > w ? i - w : 0; k < i; ++k) {
         x[k] -= li[k + w - i] * xi;

@@ -29,17 +29,6 @@ inline int find_name_index(const std::vector<std::string>& names,
                           name);
 }
 
-inline double dot(const std::vector<double>& a,
-                  const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-inline double norm2(const std::vector<double>& v) {
-  return std::sqrt(dot(v, v));
-}
-
 /// y[0, n) += a * x[0, n): the contiguous update the reduced transient and
 /// the termination fold are built from (the compiler vectorizes it).
 inline void axpy(double a, const double* __restrict__ x,
@@ -67,6 +56,15 @@ inline void axpy_rows(const double* a, const double* rows, std::size_t stride,
   }
   for (; k < count; ++k) axpy(a[k], rows + k * stride, y, n);
 }
+
+/// Orthonormalizes `w` against the orthonormal `basis` by classical
+/// Gram-Schmidt with one reorthogonalization (CGS2: twice h = V^T w, then
+/// w -= V h, with V^T w summed four basis vectors per sweep) and appends
+/// w / |w|. Returns false and leaves the basis alone (deflation) when w is
+/// zero or its norm drops to at most `deflation_tol` of its initial norm.
+/// The one Gram-Schmidt kernel of PRIMA and of the corner-basis merge.
+bool absorb(std::vector<std::vector<double>>& basis, std::vector<double>& w,
+            double deflation_tol);
 
 /// V^T A V for an orthonormal basis V (q columns of length n), blocked
 /// but bitwise equal to the column-by-column matvec + dot.

@@ -1,8 +1,11 @@
 #include "rom/interconnect_rom.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numbers>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,60 +30,47 @@ int resolve_aggressor(const circuit::BusTopology& topology,
   return agg;
 }
 
-/// State layout and element values of a bus, in build_bus_netlist's node
-/// order: heads, contact nodes when the line has series resistance, the
-/// ladder segment-major, the far ends. Every series element joins states
-/// exactly `nl` apart, every coupling capacitor neighbours in one segment.
-struct Layout {
-  explicit Layout(const circuit::BusTopology& t)
-      : nl(static_cast<std::size_t>(t.lines)),
-        ladder(t.line.series_resistance_ohm > 0 ? 2 * nl : nl),
-        far(ladder + static_cast<std::size_t>(t.segments) * nl),
-        n(far + nl),
+/// The bus in its line modes. G = I_N (x) G_line and
+/// C = I_N (x) C_line + T_N (x) D_cc, with T_N the path Laplacian of the N
+/// lines, so the orthonormal DCT-II that diagonalizes T_N turns the bus
+/// into N decoupled RC chains of `len` states each: head, contact (when
+/// the line has series resistance), the ladder, far end. Every chain has
+/// the same series elements; mode k's ladder capacitors gain
+/// lambda_k * cc_seg, lambda_k = 4 sin^2(pi k / 2N).
+struct Chain {
+  explicit Chain(const circuit::BusTopology& t)
+      : lines(static_cast<std::size_t>(t.lines)),
+        ladder(t.line.series_resistance_ohm > 0 ? 2 : 1),
+        len(ladder + static_cast<std::size_t>(t.segments) + 1),
         g_seg(1.0 / (t.line.resistance_per_m * t.length_m / t.segments)),
         c_seg(t.line.capacitance_per_m * t.length_m / t.segments),
         cc_seg(t.coupling_cap_per_m * t.length_m / t.segments),
-        g_end(ladder > nl ? 1.0 / (t.line.series_resistance_ohm / 2.0)
-                          : 1.0) {}
+        g_end(ladder > 1 ? 1.0 / (t.line.series_resistance_ohm / 2.0)
+                         : 1.0) {}
 
-  /// Whether states a and a + 1 share a coupling capacitor.
-  bool coupled(std::size_t a) const {
-    return a >= ladder && a + 1 < far && (a - ladder) % nl != nl - 1;
-  }
-
-  std::size_t nl, ladder, far, n;
+  std::size_t lines, ladder, len;
   /// Segment conductance and capacitances; g_end is a contact resistor's
   /// conductance, or the 1 Ohm far stub's of a contact-free line.
   double g_seg, c_seg, cc_seg, g_end;
 };
 
-/// Sorted CSR of a symmetric stamp: ground(r) to ground at every state,
-/// plus element(a) between a and a + d wherever joins(a).
-template <typename Joins, typename Element, typename Ground>
-SparseMatrix stamp_csr(std::size_t n, std::size_t d, Joins joins,
-                       Element element, Ground ground) {
-  std::vector<std::size_t> row_ptr(n + 1, 0), col;
-  std::vector<double> val;
-  col.reserve(3 * n);
-  val.reserve(3 * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const bool lo = r >= d && joins(r - d), hi = joins(r);
-    const double x_lo = lo ? element(r - d) : 0.0;
-    const double x_hi = hi ? element(r) : 0.0;
-    if (lo) {
-      col.push_back(r - d);
-      val.push_back(-x_lo);
-    }
-    col.push_back(r);
-    val.push_back(ground(r) + x_lo + x_hi);
-    if (hi) {
-      col.push_back(r + d);
-      val.push_back(-x_hi);
-    }
-    row_ptr[r + 1] = col.size();
+/// Q(l, k): line l's weight in mode k of the orthonormal DCT-II.
+double line_mode(std::size_t lines, std::size_t l, std::size_t k) {
+  const double n = static_cast<double>(lines);
+  return std::sqrt((k == 0 ? 1.0 : 2.0) / n) *
+         std::cos(std::numbers::pi * static_cast<double>(k) *
+                  static_cast<double>(2 * l + 1) / (2.0 * n));
+}
+
+/// Column `col` of the port map `m` gets line l's head (or far end) in
+/// mode coordinates: Q(l, k) at position 0 (or len - 1) of every mode k.
+void put_line_port(MatrixD& m, std::size_t col, const BusStateSpace& bus,
+                   std::size_t l, bool far) {
+  const std::size_t lines = static_cast<std::size_t>(bus.topology.lines);
+  const std::size_t len = bus.chain();
+  for (std::size_t k = 0; k < lines; ++k) {
+    m(k * len + (far ? len - 1 : 0), col) = line_mode(lines, l, k);
   }
-  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
-                      std::move(val));
 }
 
 }  // namespace
@@ -91,27 +81,55 @@ BusTheta bus_theta(const BusTechPoint& p, double driver_siemens,
           p.capacitance_scale, p.coupling_scale, load_f};
 }
 
+std::size_t BusStateSpace::chain() const { return Chain(topology).len; }
+
 SparseMatrix BusStateSpace::g(const BusTheta& t) const {
-  const Layout b(topology);
-  return stamp_csr(
-      b.n, b.nl, [&](std::size_t a) { return a + b.nl < b.n; },
-      [&](std::size_t a) {  // the series element from a to a + nl
-        if (a + b.nl < b.ladder) return t[0] * b.g_end;  // head contact
-        return a < b.far - b.nl ? t[1] * b.g_seg : t[0] * b.g_end;
-      },
-      [&](std::size_t r) {
-        return t[0] * detail::kGminFloor + (r < b.nl ? t[2] : 0.0);
-      });
+  const Chain ch(topology);
+  // The element from position p to p + 1: a contact resistor (or the far
+  // stub) at either end of the chain, a segment in between.
+  const auto element = [&](std::size_t p) {
+    return p + 1 < ch.ladder || p + 2 == ch.len ? t[0] * ch.g_end
+                                                : t[1] * ch.g_seg;
+  };
+  const std::size_t n = ch.lines * ch.len;
+  std::vector<std::size_t> row_ptr(n + 1, 0), col;
+  std::vector<double> val;
+  col.reserve(3 * n);
+  val.reserve(3 * n);
+  const auto put = [&](std::size_t c, double v) {
+    col.push_back(c);
+    val.push_back(v);
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t p = r % ch.len;
+    const double lo = p > 0 ? element(p - 1) : 0.0;
+    const double hi = p + 1 < ch.len ? element(p) : 0.0;
+    if (p > 0) put(r - 1, -lo);
+    put(r, t[0] * detail::kGminFloor + (p == 0 ? t[2] : 0.0) + lo + hi);
+    if (p + 1 < ch.len) put(r + 1, -hi);
+    row_ptr[r + 1] = col.size();
+  }
+  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
+                      std::move(val));
 }
 
 SparseMatrix BusStateSpace::c(const BusTheta& t) const {
-  const Layout b(topology);
-  return stamp_csr(
-      b.n, 1, [&](std::size_t a) { return b.coupled(a); },
-      [&](std::size_t) { return t[4] * b.cc_seg; },
-      [&](std::size_t r) {
-        return r >= b.far ? t[5] : r >= b.ladder ? t[3] * b.c_seg : 0.0;
-      });
+  const Chain ch(topology);
+  const std::size_t n = ch.lines * ch.len;
+  std::vector<std::size_t> row_ptr(n + 1), col(n);
+  std::iota(row_ptr.begin(), row_ptr.end(), 0);
+  std::iota(col.begin(), col.end(), 0);
+  std::vector<double> val(n, 0.0);
+  for (std::size_t k = 0; k < ch.lines; ++k) {
+    const double s = std::sin(std::numbers::pi * static_cast<double>(k) /
+                              (2.0 * static_cast<double>(ch.lines)));
+    const double ladder_c = t[3] * ch.c_seg + t[4] * (4.0 * s * s) * ch.cc_seg;
+    std::fill(val.begin() + k * ch.len + ch.ladder,
+              val.begin() + (k + 1) * ch.len - 1, ladder_c);
+    val[(k + 1) * ch.len - 1] = t[5];
+  }
+  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
+                      std::move(val));
 }
 
 BusStateSpace stamp_bus(const circuit::BusTopology& topology) {
@@ -123,18 +141,11 @@ BusStateSpace stamp_bus(const circuit::BusTopology& topology) {
                "line resistance must be positive");
   CNTI_EXPECTS(topology.line.capacitance_per_m >= 0,
                "line capacitance must be >= 0");
-  const Layout b(topology);
-  BusStateSpace out;
-  out.topology = topology;
-  for (std::size_t l = 0; l < b.nl; ++l) {
-    out.head_states.push_back(l);
-    out.far_states.push_back(b.far + l);
-  }
-  return out;
+  return BusStateSpace{topology};
 }
 
 StateSpace bare_bus_ports(const BusStateSpace& bare) {
-  const std::size_t nl = bare.head_states.size();
+  const std::size_t nl = static_cast<std::size_t>(bare.topology.lines);
   const BusTheta theta = bus_theta({}, 0.0, 0.0);
   StateSpace ss;
   ss.g = bare.g(theta);
@@ -142,17 +153,14 @@ StateSpace bare_bus_ports(const BusStateSpace& bare) {
   ss.nodes = ss.size = bare.size();
   const std::size_t n = static_cast<std::size_t>(ss.size);
   ss.b = MatrixD(n, 2 * nl);
-  ss.l = MatrixD(n, 2 * nl);
+  ss.input_names.resize(2 * nl);
   for (std::size_t l = 0; l < nl; ++l) {
-    ss.b(bare.head_states[l], l) = ss.l(bare.head_states[l], l) = 1.0;
-    ss.b(bare.far_states[l], nl + l) = ss.l(bare.far_states[l], nl + l) = 1.0;
+    put_line_port(ss.b, l, bare, l, false);
+    put_line_port(ss.b, nl + l, bare, l, true);
+    ss.input_names[l] = "head" + std::to_string(l);
+    ss.input_names[nl + l] = "far" + std::to_string(l);
   }
-  for (std::size_t l = 0; l < nl; ++l) {
-    ss.input_names.push_back("head" + std::to_string(l));
-  }
-  for (std::size_t l = 0; l < nl; ++l) {
-    ss.input_names.push_back("far" + std::to_string(l));
-  }
+  ss.l = ss.b;
   ss.output_names = ss.input_names;
   return ss;
 }
@@ -162,7 +170,7 @@ StateSpace terminate_bus(const BusStateSpace& bare,
   CNTI_EXPECTS(drive.driver_ohm > 0, "bus ROM: driver resistance must be > 0");
   CNTI_EXPECTS(drive.receiver_load_f >= 0, "bus ROM: load must be >= 0");
   const int agg = resolve_aggressor(bare.topology, drive);
-  const std::size_t nl = bare.far_states.size();
+  const std::size_t nl = static_cast<std::size_t>(bare.topology.lines);
   StateSpace ss;
   const BusTheta theta =
       bus_theta({}, 1.0 / drive.driver_ohm, drive.receiver_load_f);
@@ -171,11 +179,11 @@ StateSpace terminate_bus(const BusStateSpace& bare,
   ss.nodes = ss.size = bare.size();
   const std::size_t n = static_cast<std::size_t>(ss.size);
   ss.b = MatrixD(n, 1);
-  ss.b(bare.head_states[static_cast<std::size_t>(agg)], 0) = 1.0;
+  put_line_port(ss.b, 0, bare, static_cast<std::size_t>(agg), false);
   ss.input_names.push_back("head" + std::to_string(agg));
   ss.l = MatrixD(n, nl);
   for (std::size_t l = 0; l < nl; ++l) {
-    ss.l(bare.far_states[l], l) = 1.0;
+    put_line_port(ss.l, l, bare, l, true);
     ss.output_names.push_back("far" + std::to_string(l));
   }
   return ss;

@@ -50,30 +50,36 @@ using BusTheta = std::array<double, 6>;
 BusTheta bus_theta(const BusTechPoint& point, double driver_siemens,
                    double load_f);
 
-/// The bare bus as an affine stamp over the non-ground node voltages, in
-/// build_bus_netlist's node order (state i is node i + 1): G_fixed (the
-/// 1e-12 S g_min floor, contact resistors or the 1 Ohm far stub of a
-/// contact-free line), G_line (segment resistors at unit scale), E_head
-/// (unit head diagonals), C_ground, C_couple (segment and coupling
-/// capacitors) and E_far (unit far-end diagonals). g(theta) and c(theta)
-/// write sum_k theta[k] A_k straight into sorted CSR, so a component is
-/// g or c at a unit theta. Nothing is stored per component: a cached
-/// topology costs its head/far indices only. Port maps are not stored
-/// either: bare_bus_ports and terminate_bus build the ones they need.
+/// The bare bus as an affine stamp in its line modes: G_fixed (the 1e-12 S
+/// g_min floor, contact resistors or the 1 Ohm far stub of a contact-free
+/// line), G_line (segment resistors at unit scale), E_head (unit head
+/// diagonals), C_ground, C_couple (segment and coupling capacitors) and
+/// E_far (unit far-end diagonals). The orthonormal DCT-II across the lines,
+/// Q_lk = sqrt((k == 0 ? 1 : 2) / N) cos(pi k (2l + 1) / 2N), diagonalizes
+/// the coupling, so with P = Q (x) I the stamp is P^T G P (N decoupled
+/// tridiagonal chains) and P^T C P (diagonal: mode k's ladder gains
+/// lambda_k = 4 sin^2(pi k / 2N) times the coupling). State k * chain() + p
+/// is chain position p (head, contact if any, ladder, far end) of mode k.
+/// P is orthogonal, so PRIMA builds the same reduced model as from the
+/// nodal system in exact arithmetic, on a half-bandwidth-1 factor. g(theta) and c(theta) write
+/// sum_k theta[k] A_k straight into sorted CSR; only the topology is
+/// stored, and bare_bus_ports / terminate_bus build the port maps (line
+/// l's head or far end is column l of Q on that position of every mode).
 struct BusStateSpace {
   circuit::BusTopology topology;
-  std::vector<std::size_t> head_states, far_states;
 
+  /// States per mode: head, contact if any, segments, far end.
+  std::size_t chain() const;
   int size() const {
-    return static_cast<int>(far_states.back() + 1);
+    return topology.lines * static_cast<int>(chain());
   }
   numerics::SparseMatrix g(const BusTheta& theta) const;
   numerics::SparseMatrix c(const BusTheta& theta) const;
 };
 
-/// Checks `topology` and indexes its head and far states: the same G and
-/// C extract_state_space gives for build_bus_netlist(topology), to
-/// rounding, with no netlist in between.
+/// Checks `topology`: the stamp is P^T G P and P^T C P of what
+/// extract_state_space gives for build_bus_netlist(topology), to rounding,
+/// with no netlist in between.
 BusStateSpace stamp_bus(const circuit::BusTopology& topology);
 
 /// The bare 2N-port system at unit scales: ports head0..head{N-1} then

@@ -16,8 +16,6 @@ namespace cnti::rom {
 
 namespace {
 
-using detail::dot;
-using detail::norm2;
 using numerics::MatrixD;
 
 /// A driven ROM stops adding Krylov levels at the first level whose
@@ -66,26 +64,6 @@ std::pair<double, double> kpi_errors(const circuit::BusCrosstalkResult& x,
   if (ref_nan) return {noise, 0.0};
   return {noise, std::abs(x.aggressor_delay_s - ref.aggressor_delay_s) /
                      ref.aggressor_delay_s};
-}
-
-/// Absorbs `w` into the orthonormal `basis` by the MGS +
-/// reorthogonalization + deflation scheme prima_reduce uses; a direction
-/// that deflates is dropped.
-void absorb(std::vector<std::vector<double>>& basis, std::vector<double>& w,
-            double deflation_tol) {
-  const double initial = norm2(w);
-  if (initial == 0.0) return;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& v : basis) {
-      const double h = dot(v, w);
-      if (h == 0.0) continue;
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= h * v[i];
-    }
-  }
-  const double remaining = norm2(w);
-  if (remaining <= deflation_tol * initial) return;
-  for (double& x : w) x /= remaining;
-  basis.push_back(std::move(w));
 }
 
 /// Deterministic interior probe fraction for validate_against_mna: a
@@ -195,7 +173,7 @@ void ParametrizedBusRom::build(PrimaOptions corner_options) {
   } else {
     const obs::ObsSpan merge_span("prom.merge", "rom");
     for (auto& cb : corner_bases) {
-      for (auto& w : cb) absorb(basis, w, corner_options.deflation_tol);
+      for (auto& w : cb) detail::absorb(basis, w, corner_options.deflation_tol);
     }
   }
   projection_ = project(bare, ss, basis);
@@ -212,9 +190,11 @@ void ParametrizedBusRom::select_driven_order(
   // a level is the largest relative KPI change to the next level, on a
   // fixed grid at the box centre and two opposite corners (none of them
   // validate_against_mna's interior probes). The first level at or under
-  // kOrderTolerance is kept; at the ceiling, or when a level deflates to
-  // nothing, the last level is kept with the change into it (0 for a lone
-  // level).
+  // kOrderTolerance is kept; at the ceiling the last level is kept with
+  // the change into it (0 for a lone level). When a level deflates to
+  // nothing the Krylov space is exhausted: the next level is the kept one,
+  // so the change to it, the estimate, is 0 (a basis that spans the whole
+  // state space is one such case: the model is then a change of basis).
   const obs::ObsSpan select_span("prom.select_order", "rom");
   BusScenario sc;
   sc.driver_ohm = drive_->driver_ohm;
@@ -236,10 +216,15 @@ void ParametrizedBusRom::select_driven_order(
     {
       const obs::ObsSpan merge_span("prom.merge", "rom");
       for (auto& cb : corner_bases) {
-        if (level < cb.size()) absorb(basis, cb[level], deflation_tol);
+        if (level < cb.size()) {
+          detail::absorb(basis, cb[level], deflation_tol);
+        }
       }
     }
-    if (basis.size() == before) break;  // the Krylov space is exhausted
+    if (basis.size() == before) {  // the Krylov space is exhausted
+      estimate = 0.0;
+      break;
+    }
     Projection next = project(bare, ss, basis);
     std::vector<circuit::BusCrosstalkResult> kpis;
     for (const BusTechPoint& p : points) {

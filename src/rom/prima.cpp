@@ -1,7 +1,9 @@
 #include "rom/prima.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -16,50 +18,25 @@ namespace cnti::rom {
 
 namespace {
 
-using detail::dot;
-using detail::norm2;
 using numerics::BandCholesky;
 using numerics::MatrixD;
 using numerics::SparseLu;
 using numerics::SparseMatrix;
 
-/// K = G + s0 C over the union pattern, for the SparseLu path, as a merge
-/// of the sorted G and C rows.
-/// Each entry sums at most one term of each, so it is bitwise the value
-/// a triplet build of the two streams would sum.
+/// K = G + s0 C over the union pattern, for the SparseLu path (pencils
+/// with branch rows; every RC bus takes the band factor).
 SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
                             double s0) {
   if (s0 == 0.0) return g;
-  const std::size_t n = g.rows();
-  const auto& gp = g.row_ptr();
-  const auto& gc = g.col_indices();
-  const auto& gv = g.values();
-  const auto& cp = c.row_ptr();
-  const auto& cc = c.col_indices();
-  const auto& cv = c.values();
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::size_t> col;
-  std::vector<double> val;
-  col.reserve(g.nnz() + c.nnz());
-  val.reserve(g.nnz() + c.nnz());
-  for (std::size_t r = 0; r < n; ++r) {
-    std::size_t i = gp[r], j = cp[r];
-    while (i < gp[r + 1] || j < cp[r + 1]) {
-      if (j == cp[r + 1] || (i < gp[r + 1] && gc[i] < cc[j])) {
-        col.push_back(gc[i]);
-        val.push_back(gv[i++]);
-      } else if (i == gp[r + 1] || cc[j] < gc[i]) {
-        col.push_back(cc[j]);
-        val.push_back(s0 * cv[j++]);
-      } else {
-        col.push_back(gc[i]);
-        val.push_back(gv[i++] + s0 * cv[j++]);
+  numerics::SparseBuilder k(g.rows(), g.cols());
+  for (const auto& [m, scale] : {std::pair{&g, 1.0}, std::pair{&c, s0}}) {
+    for (std::size_t r = 0; r < m->rows(); ++r) {
+      for (std::size_t t = m->row_ptr()[r]; t < m->row_ptr()[r + 1]; ++t) {
+        k.add(r, m->col_indices()[t], scale * m->values()[t]);
       }
     }
-    row_ptr[r + 1] = col.size();
   }
-  return SparseMatrix(n, n, std::move(row_ptr), std::move(col),
-                      std::move(val));
+  return k.build();
 }
 
 }  // namespace
@@ -94,21 +71,68 @@ MatrixD detail::project_matrix(const SparseMatrix& a,
   return ar;
 }
 
+bool detail::absorb(std::vector<std::vector<double>>& basis,
+                    std::vector<double>& w, double deflation_tol) {
+  const auto norm = [&] {
+    return std::sqrt(std::transform_reduce(w.begin(), w.end(), w.begin(), 0.0));
+  };
+  const double initial = norm();
+  if (initial == 0.0) return false;
+  const std::size_t n = w.size();
+  const std::size_t q = basis.size();
+  double* __restrict__ x = w.data();
+  std::vector<double> h(q + 3, 0.0);
+  // Four basis vectors per sweep, so their dot chains run side by side.
+  // Past the end of the basis a sweep repeats the last vector; those slots
+  // of h are zeroed before w -= V h.
+  const auto block = [&](std::size_t j) {
+    const auto v = [&](std::size_t k) {
+      return basis[std::min(j + k, q - 1)].data();
+    };
+    return std::array<const double*, 4>{v(0), v(1), v(2), v(3)};
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t j = 0; j < q; j += 4) {
+      const auto [v0, v1, v2, v3] = block(j);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        s0 += v0[i] * x[i];
+        s1 += v1[i] * x[i];
+        s2 += v2[i] * x[i];
+        s3 += v3[i] * x[i];
+      }
+      h[j] = s0;
+      h[j + 1] = s1;
+      h[j + 2] = s2;
+      h[j + 3] = s3;
+    }
+    std::fill(h.begin() + static_cast<std::ptrdiff_t>(q), h.end(), 0.0);
+    for (std::size_t j = 0; j < q; j += 4) {
+      const auto [v0, v1, v2, v3] = block(j);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] -= h[j] * v0[i] + h[j + 1] * v1[i] + h[j + 2] * v2[i] +
+                h[j + 3] * v3[i];
+      }
+    }
+  }
+  const double remaining = norm();
+  if (remaining <= deflation_tol * initial) return false;
+  for (double& v : w) v /= remaining;
+  basis.push_back(std::move(w));
+  return true;
+}
+
 MatrixD detail::project_ports(const MatrixD& m,
                               const std::vector<std::vector<double>>& basis) {
-  const std::size_t n = m.rows();
+  // One pass over the rows of m: each entry adds basis[i][r] * m(r, j)
+  // over the nonzeros of column j in ascending r, as a column dot would.
   const std::size_t q = basis.size();
   MatrixD mr(q, m.cols());
-  std::vector<std::size_t> nz;
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    nz.clear();
-    for (std::size_t r = 0; r < n; ++r) {
-      if (m(r, j) != 0.0) nz.push_back(r);
-    }
-    for (std::size_t i = 0; i < q; ++i) {
-      double s = 0.0;
-      for (const std::size_t r : nz) s += basis[i][r] * m(r, j);
-      mr(i, j) = s;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      const double x = m(r, j);
+      if (x == 0.0) continue;
+      for (std::size_t i = 0; i < q; ++i) mr(i, j) += basis[i][r] * x;
     }
   }
   return mr;
@@ -147,31 +171,14 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
     return banded ? band.solve(rhs) : lu.solve(rhs);
   };
 
-  // Modified Gram-Schmidt with one reorthogonalization pass; returns false
-  // (deflation) when the direction is linearly dependent on the basis.
+  // CGS2 into the basis; a direction that deflates is counted and dropped.
   std::vector<std::vector<double>> basis;
   const auto orthonormalize_into_basis = [&](std::vector<double> w) {
+    const obs::ObsSpan span("prima.orthonormalize", "rom");
     arnoldi_vectors.add();
-    const double initial = norm2(w);
-    if (initial == 0.0) {
-      deflations.add();
-      return false;
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& v : basis) {
-        const double h = dot(v, w);
-        if (h == 0.0) continue;
-        for (std::size_t i = 0; i < n; ++i) w[i] -= h * v[i];
-      }
-    }
-    const double remaining = norm2(w);
-    if (remaining <= options.deflation_tol * initial) {
-      deflations.add();
-      return false;
-    }
-    for (double& x : w) x /= remaining;
-    basis.push_back(std::move(w));
-    return true;
+    if (detail::absorb(basis, w, options.deflation_tol)) return true;
+    deflations.add();
+    return false;
   };
 
   // Block 0: K^{-1} B. Later blocks: K^{-1} C v for each surviving column
@@ -203,11 +210,14 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
 
   // Congruence projection onto the span of the basis.
   basis_gauge.set(static_cast<double>(basis.size()));
-  ReducedModel rm(detail::project_matrix(ss.g, basis),
-                  detail::project_matrix(ss.c, basis),
-                  detail::project_ports(ss.b, basis),
-                  detail::project_ports(ss.l, basis), ss.input_names,
-                  ss.output_names, ss.size);
+  ReducedModel rm = [&] {
+    const obs::ObsSpan project_span("prima.project", "rom");
+    return ReducedModel(detail::project_matrix(ss.g, basis),
+                        detail::project_matrix(ss.c, basis),
+                        detail::project_ports(ss.b, basis),
+                        detail::project_ports(ss.l, basis), ss.input_names,
+                        ss.output_names, ss.size);
+  }();
   if (options.keep_basis) rm.set_basis(std::move(basis));
   return rm;
 }

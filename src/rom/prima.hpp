@@ -1,7 +1,7 @@
 // PRIMA-style passive model-order reduction (Odabasioglu/Celik/Pileggi):
-// block Arnoldi on (G + s0 C)^{-1} C with modified Gram-Schmidt
-// orthonormalization on one factorization of K = G + s0 C reused for every
-// Krylov solve, followed by congruence projection
+// block Arnoldi on (G + s0 C)^{-1} C with classical Gram-Schmidt and one
+// reorthogonalization (CGS2) on one factorization of K = G + s0 C reused
+// for every Krylov solve, followed by congruence projection
 //
 //   Gr = V^T G V,  Cr = V^T C V,  Br = V^T B,  Lr = V^T L.
 //
@@ -43,9 +43,9 @@ struct PrimaOptions {
 /// Widest half-bandwidth of K = G + s0 C that PRIMA factors as a banded
 /// SPD matrix. An exactly symmetric K (an RC network: no vsource or
 /// inductor branch rows) at most this wide goes to numerics::BandCholesky;
-/// anything else goes to numerics::SparseLu. The band factor beats the
-/// sparse LU on every bus ladder rung up to 64 lines (bench_rom_scaling's
-/// reduction ladder); the bound sits at the widest rung measured.
+/// anything else goes to numerics::SparseLu. The bound is the widest
+/// nodal bus pencil (64 lines) on which the band factor beat the sparse LU;
+/// the modal bus stamp is half-bandwidth 1.
 inline constexpr std::size_t kBandMaxHalfWidth = 64;
 
 /// Runs block Arnoldi + congruence projection on an extracted descriptor

@@ -21,26 +21,22 @@ KeyHasher line_rlc_hasher(const char* schema, const core::LineRlc& rlc) {
   return h;
 }
 
-ContentKey topology_key(const char* schema,
-                        const circuit::BusTopology& topology) {
+KeyHasher topology_hasher(const char* schema,
+                          const circuit::BusTopology& topology) {
   KeyHasher h = line_rlc_hasher(schema, topology.line);
   h.add(topology.coupling_cap_per_m)
       .add(topology.length_m)
       .add(topology.lines)
       .add(topology.segments);
-  return h.key();
+  return h;
 }
 
 ContentKey topology_drive_key(const char* schema,
                               const circuit::BusTopology& topology,
                               const circuit::BusDrive& drive,
                               int time_steps) {
-  KeyHasher h = line_rlc_hasher(schema, topology.line);
-  h.add(topology.coupling_cap_per_m)
-      .add(topology.length_m)
-      .add(topology.lines)
-      .add(topology.segments)
-      .add(drive.aggressor)
+  KeyHasher h = topology_hasher(schema, topology);
+  h.add(drive.aggressor)
       .add(drive.driver_ohm)
       .add(drive.vdd_v)
       .add(drive.edge_time_s)
@@ -193,12 +189,10 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
     const circuit::BusDrive drive = to_bus_drive(s);
     if (s.analysis.noise_model == NoiseModel::kReducedOrder) {
       // Disk-persisted leaf: the evaluated noise result per (topology,
-      // drive, grid). The compute terminates the topology's bare
-      // descriptor system for this drive and reduces it as a one-input
-      // system (rom::evaluate_bus_drive). The bare system is memory-only
-      // and nested inside the compute, so one stamp per topology is
-      // shared across every drive of the batch — and on a warm disk hit
-      // it is never built at all.
+      // drive, grid). The compute stamps the bus (rom::stamp_bus checks
+      // the topology and stores nothing else), terminates it for this
+      // drive and reduces it as a one-input system
+      // (rom::evaluate_bus_drive); a warm disk hit stamps nothing.
       // .v3: the settle window gained the receiver load and the delay
       // sentinel became NaN — same key inputs, different values, so the
       // schema bump retires every pre-fix persisted entry (PR-7 policy).
@@ -213,13 +207,11 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v8 (2026-10-19): the bus is stamped as affine components instead
       // of extracted from a netlist, and the drive enters as their
       // coefficients; last bits of the reduced models move.
-      KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v8",
-                                           topology.line);
-      eval_key.add(topology.coupling_cap_per_m)
-          .add(topology.length_m)
-          .add(topology.lines)
-          .add(topology.segments)
-          .add(drive.aggressor)
+      // .v9 (2026-10-19): the bus is stamped in its line modes (N
+      // decoupled chains, band factor at half-bandwidth 1, reciprocal
+      // pivots) and PRIMA orthonormalizes by CGS2; last bits move.
+      KeyHasher eval_key = topology_hasher("stage.bus-rom-eval.v9", topology);
+      eval_key.add(drive.aggressor)
           .add(drive.driver_ohm)
           .add(drive.receiver_load_f)
           .add(drive.vdd_v)
@@ -228,15 +220,7 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusRomEval, eval_key.key(),
           [&] {
-            // .v2 (2026-10-19): the bare system is rom::stamp_bus's affine
-            // stamp, which stores no matrices; each drive stamps its G/C.
-            const auto bare = cache_.get_or_compute<rom::BusStateSpace>(
-                stage::kBusSystem,
-                topology_key("stage.bus-system.v2", topology), [&] {
-                  return std::make_shared<rom::BusStateSpace>(
-                      rom::stamp_bus(topology));
-                });
-            return rom::evaluate_bus_drive(*bare, drive,
+            return rom::evaluate_bus_drive(rom::stamp_bus(topology), drive,
                                            s.analysis.time_steps);
           },
           &bus_result_codec());
@@ -257,7 +241,7 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
           [&] {
             const auto bare = cache_.get_or_compute<circuit::BusNetlist>(
                 stage::kBusNetlist,
-                topology_key("stage.bus-netlist.v2", topology),
+                topology_hasher("stage.bus-netlist.v2", topology).key(),
                 [&] { return circuit::build_bus_netlist(topology); });
             return circuit::analyze_bus_crosstalk(*bare, topology, drive,
                                                   s.analysis.time_steps);

@@ -44,7 +44,6 @@ inline constexpr const char* kAtomistic = "atomistic";
 inline constexpr const char* kCapacitance = "capacitance";
 inline constexpr const char* kDelayMna = "delay-mna";
 inline constexpr const char* kBusNetlist = "bus-netlist";
-inline constexpr const char* kBusSystem = "bus-system";
 inline constexpr const char* kBusProm = "bus-prom";
 inline constexpr const char* kBusRomEval = "bus-rom-eval";
 inline constexpr const char* kBusMna = "bus-mna";

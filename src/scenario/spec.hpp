@@ -76,7 +76,7 @@ enum class DelayModel {
 /// Noise model for the coupled-bus KPI.
 enum class NoiseModel {
   /// Per-drive PRIMA reduction of the terminated bus (one input, 12
-  /// vectors) over a cached per-topology bare descriptor system.
+  /// vectors) in its line modes.
   kReducedOrder,
   kFullMna,  ///< Full sparse-MNA bus transient.
 };

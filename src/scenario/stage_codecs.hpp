@@ -7,10 +7,9 @@
 //
 // Only *leaf* stage values are persisted (scalars, BusCrosstalkResult,
 // ThermalReport, ChannelStage). Heavyweight intermediate artifacts (bare
-// bus netlists and descriptor systems, parametrized ROMs) stay
-// memory-only: the engine nests their computation inside the leaf stages'
-// compute callbacks, so a disk hit on the leaf means the intermediate is
-// never rebuilt at all.
+// bus netlists, parametrized ROMs) stay memory-only: the engine nests
+// their computation inside the leaf stages' compute callbacks, so a disk
+// hit on the leaf means the intermediate is never rebuilt at all.
 #pragma once
 
 #include <cstdint>

@@ -270,9 +270,8 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // driver, load), shared across every sample, shard and thread of the
   // study: the study's drive is fixed, so its terminations are reduced
   // with the bus (vdd and the edge only shape the input and stay out of
-  // the key). Memory-only, like the bare bus-system stage: the reduction
-  // nests inside the per-sample evaluations and is cheap relative to the
-  // study it unlocks.
+  // the key). Memory-only: the reduction nests inside the per-sample
+  // evaluations and is cheap relative to the study it unlocks.
   // .v2: sparse-LU blocked-kernel era (see engine.cpp's .v4 bumps).
   // .v3: driven reduction; the key carries the driver and the load.
   // .v4: corners terminated by rom::terminate_bus instead of stamped
@@ -285,7 +284,10 @@ ScenarioEngine::statistical_rom(const Scenario& s) const {
   // .v7 (2026-10-19): the driven basis grows a Krylov level at a time until
   // the estimated error is at most 1e-5 (q 51 -> 24 on the paper-bus
   // study); the merged order and last bits of every sampled model move.
-  KeyHasher prom_key("stage.bus-prom.v7");
+  // .v8 (2026-10-19): the bus is stamped in its line modes (corner
+  // factors at half-bandwidth 1, reciprocal pivots) and the bases merge by
+  // CGS2; last bits of every sampled model move.
+  KeyHasher prom_key("stage.bus-prom.v8");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

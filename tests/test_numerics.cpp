@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <string>
 
 #include "circuit/crosstalk.hpp"
 #include "core/mwcnt_line.hpp"
@@ -21,6 +22,7 @@
 #include "numerics/sparse_lu.hpp"
 #include "numerics/stats.hpp"
 #include "rom/interconnect_rom.hpp"
+#include "rom/state_space.hpp"
 
 namespace cn = cnti::numerics;
 
@@ -334,7 +336,9 @@ cn::SparseMatrix pencil_sum(const cn::SparseMatrix& g,
 
 TEST(BandCholesky, MatchesSparseLuOnBusPencils) {
   // The terminated paper bus at its PRIMA expansion point: the 16 x 64 bus
-  // of the per-drive reductions and a 64-line bus at the width bound.
+  // of the per-drive reductions and a 64-line bus. The modal stamp PRIMA
+  // factors is half-bandwidth 1; the same bus extracted from its netlist in
+  // segment-major node order is as wide as its line count.
   for (const auto& [lines, segments] :
        {std::pair{16, 64}, std::pair{64, 16}}) {
     SCOPED_TRACE(testing::Message() << lines << " x " << segments);
@@ -347,27 +351,44 @@ TEST(BandCholesky, MatchesSparseLuOnBusPencils) {
     cnti::circuit::BusDrive drive;
     drive.driver_ohm = 2e3;
     drive.receiver_load_f = 0.5e-15;
-    const auto ss = cnti::rom::terminate_bus(
-        cnti::rom::stamp_bus(topo), drive);
     const double s0 = 20.0 / cnti::circuit::bus_settle_time_s(topo, drive);
-
-    cn::BandCholesky band;
-    ASSERT_TRUE(band.factorize(ss.g, ss.c, s0, 64));
-    EXPECT_EQ(band.half_bandwidth(), static_cast<std::size_t>(lines));
-    cn::SparseLu lu;
-    lu.factorize(pencil_sum(ss.g, ss.c, s0));
-
-    cn::Rng rng(7);
-    std::vector<double> rhs(band.size());
-    for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
-    const auto x = band.solve(rhs);
-    const auto x_ref = lu.solve(rhs);
-    double scale = 0.0, err = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      scale = std::max(scale, std::abs(x_ref[i]));
-      err = std::max(err, std::abs(x[i] - x_ref[i]));
+    const auto modal = cnti::rom::terminate_bus(
+        cnti::rom::stamp_bus(topo), drive);
+    cnti::circuit::BusNetlist net = cnti::circuit::build_bus_netlist(topo);
+    for (int l = 0; l < lines; ++l) {
+      const auto ul = static_cast<std::size_t>(l);
+      net.ckt.add_resistor("rdrv" + std::to_string(l), net.head[ul], 0,
+                           drive.driver_ohm);
+      net.ckt.add_capacitor("cl" + std::to_string(l), net.far[ul], 0,
+                            drive.receiver_load_f);
     }
-    EXPECT_LE(err, 1e-11 * scale);
+    cnti::rom::StateSpaceOptions opt;
+    opt.include_sources = false;
+    opt.ports = {{"head0", net.head[0]}};
+    const auto nodal = cnti::rom::extract_state_space(net.ckt, opt);
+
+    for (const auto& [ss, width] :
+         {std::pair{&modal, std::size_t{1}},
+          std::pair{&nodal, static_cast<std::size_t>(lines)}}) {
+      SCOPED_TRACE(width);
+      cn::BandCholesky band;
+      ASSERT_TRUE(band.factorize(ss->g, ss->c, s0, 64));
+      EXPECT_EQ(band.half_bandwidth(), width);
+      cn::SparseLu lu;
+      lu.factorize(pencil_sum(ss->g, ss->c, s0));
+
+      cn::Rng rng(7);
+      std::vector<double> rhs(band.size());
+      for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+      const auto x = band.solve(rhs);
+      const auto x_ref = lu.solve(rhs);
+      double scale = 0.0, err = 0.0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        scale = std::max(scale, std::abs(x_ref[i]));
+        err = std::max(err, std::abs(x[i] - x_ref[i]));
+      }
+      EXPECT_LE(err, 1e-11 * scale);
+    }
   }
 }
 

@@ -488,12 +488,12 @@ TEST(ScenarioEngine, BatchSharesTopologyArtifactsAcrossScenarios) {
   const auto results = engine.run_batch(batch);
   ASSERT_EQ(results.size(), batch.size());
 
-  // Two dopings -> two line models -> two topologies; every scenario of a
-  // topology shares one bare descriptor system regardless of driver/load,
-  // and each drive reduces its own terminated bus.
-  const auto bare = engine.cache().stats(sc::stage::kBusSystem);
-  EXPECT_EQ(bare.misses, 2u);
-  EXPECT_EQ(bare.hits, 10u);
+  // Two dopings -> two line models -> two topologies; every scenario is a
+  // distinct (topology, drive), so each one evaluates and reduces its own
+  // terminated bus.
+  const auto eval = engine.cache().stats(sc::stage::kBusRomEval);
+  EXPECT_EQ(eval.misses, 12u);
+  EXPECT_EQ(eval.hits, 0u);
   EXPECT_EQ(reductions.value() - reductions_before, 12u);
   const auto atom = engine.cache().stats(sc::stage::kAtomistic);
   EXPECT_EQ(atom.misses, 2u);
