@@ -117,7 +117,8 @@ double measure_fig11_delay(const Fig11Options& opt, int time_steps) {
   topt.t_stop_s = bench.pulse_period_s;
   topt.dt_s = topt.t_stop_s / time_steps;
   topt.mna = opt.mna;
-  const TransientResult res = simulate_transient(bench.ckt, topt);
+  const TransientResult res =
+      simulate_transient(bench.ckt, topt, {bench.input, bench.output});
   const double v_mid = bench.vdd_v / 2.0;
   // Second input edge (falling) happens after delay + width.
   const double t_second = bench.pulse_width_s / 40.0 +

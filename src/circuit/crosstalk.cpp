@@ -35,18 +35,43 @@ TransientOptions settle_window(double r_total_ohm, double c_total_f,
   return opt;
 }
 
-/// first_crossing_time returns -1 when the level is never reached inside
-/// the window. A negative "delay" silently poisons downstream statistics
-/// (Monte Carlo summaries, CSV reports), so the crosstalk result paths all
-/// surface the sentinel as a quiet NaN instead — report writers emit it as
-/// null / an empty cell and the statistical layer rejects-and-counts it.
-double delay_or_nan(double first_crossing_s) {
-  return first_crossing_s < 0.0
-             ? std::numeric_limits<double>::quiet_NaN()
-             : first_crossing_s;
-}
-
 }  // namespace
+
+BusCrosstalkResult scan_bus_noise(const std::vector<double>& time,
+                                  std::span<const std::vector<double>> far,
+                                  int aggressor, double vdd_v) {
+  const int lines = static_cast<int>(far.size());
+  CNTI_EXPECTS(lines >= 2, "need at least two lines");
+  CNTI_EXPECTS(aggressor >= 0 && aggressor < lines,
+               "aggressor index out of range");
+  BusCrosstalkResult out;
+  // With zero coupling every victim waveform is exactly 0; report the
+  // first victim instead of leaving the -1 sentinel in a valid result.
+  out.worst_victim = aggressor == 0 ? 1 : 0;
+  for (int l = 0; l < lines; ++l) {
+    if (l == aggressor) continue;
+    const std::vector<double>& vn = far[static_cast<std::size_t>(l)];
+    CNTI_EXPECTS(vn.size() == time.size(), "waveform/time size mismatch");
+    for (std::size_t i = 0; i < time.size(); ++i) {
+      if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
+        out.peak_noise_v = vn[i];
+        out.peak_time_s = time[i];
+        out.worst_victim = l;
+      }
+    }
+  }
+  // first_crossing_time returns -1 when the level is never reached inside
+  // the window. A negative "delay" silently poisons downstream statistics
+  // (Monte Carlo summaries, CSV reports), so it surfaces as a quiet NaN
+  // instead: report writers emit it as null / an empty cell and the
+  // statistical layer rejects-and-counts it.
+  const double crossing = numerics::first_crossing_time(
+      time, far[static_cast<std::size_t>(aggressor)], vdd_v / 2.0,
+      /*rising=*/true);
+  out.aggressor_delay_s =
+      crossing < 0.0 ? std::numeric_limits<double>::quiet_NaN() : crossing;
+  return out;
+}
 
 PulseWave bus_edge_wave(double vdd_v, double edge_time_s) {
   PulseWave pulse;
@@ -146,20 +171,10 @@ CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
       (cfg.aggressor.capacitance_per_m + cfg.coupling_cap_per_m) *
           cfg.length_m,
       cfg.edge_time_s, time_steps, cfg.mna);
-  const TransientResult res = simulate_transient(ckt, opt);
-
-  CrosstalkResult out;
-  const auto& t = res.time();
-  const auto& vn = res.voltage(vic_far);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
-      out.peak_noise_v = vn[i];
-      out.peak_time_s = t[i];
-    }
-  }
-  out.aggressor_delay_s = delay_or_nan(numerics::first_crossing_time(
-      t, res.voltage(agg_far), cfg.vdd_v / 2.0, /*rising=*/true));
-  return out;
+  const TransientResult res = simulate_transient(ckt, opt, {vic_far, agg_far});
+  const BusCrosstalkResult scan =
+      scan_bus_noise(res.time(), res.waveforms(), /*aggressor=*/1, cfg.vdd_v);
+  return {scan.peak_noise_v, scan.peak_time_s, scan.aggressor_delay_s};
 }
 
 BusNetlist build_bus_netlist(const BusTopology& cfg) {
@@ -269,34 +284,16 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
                         drive.receiver_load_f);
     }
   }
-  const std::vector<NodeId>& far = bus.far;
 
   TransientOptions opt;
   opt.t_stop_s = bus_settle_time_s(topology, drive);
   opt.dt_s = opt.t_stop_s / time_steps;
   opt.mna = drive.mna;
-  const TransientResult res = simulate_transient(ckt, opt);
+  const TransientResult res = simulate_transient(ckt, opt, bus.far);
 
-  BusCrosstalkResult out;
+  BusCrosstalkResult out =
+      scan_bus_noise(res.time(), res.waveforms(), agg, drive.vdd_v);
   out.unknowns = ckt.node_count() + 1;  // + the aggressor source branch
-  // With zero coupling every victim waveform is exactly 0; report the
-  // first victim instead of leaving the -1 sentinel in a valid result.
-  out.worst_victim = agg == 0 ? 1 : 0;
-  const auto& t = res.time();
-  for (int l = 0; l < topology.lines; ++l) {
-    if (l == agg) continue;
-    const auto& vn = res.voltage(far[static_cast<std::size_t>(l)]);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
-        out.peak_noise_v = vn[i];
-        out.peak_time_s = t[i];
-        out.worst_victim = l;
-      }
-    }
-  }
-  out.aggressor_delay_s = delay_or_nan(numerics::first_crossing_time(
-      t, res.voltage(far[static_cast<std::size_t>(agg)]), drive.vdd_v / 2.0,
-      /*rising=*/true));
   return out;
 }
 

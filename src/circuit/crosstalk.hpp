@@ -6,6 +6,9 @@
 // lower-C CNT line buys noise margin.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "circuit/mna.hpp"
 #include "core/line_model.hpp"
 
@@ -79,6 +82,18 @@ struct BusCrosstalkResult {
   double aggressor_delay_s = 0.0;
   int unknowns = 0;                ///< MNA system size actually solved.
 };
+
+/// The bus noise KPIs of one transient, shared by the MNA pair and bus
+/// analyses and the reduced-order bus: `far` holds each line's far-end
+/// waveform on `time`, in line order. The worst victim is the first line
+/// (then the first step) whose |v| strictly exceeds every earlier one; it
+/// defaults to line 0, or 1 when line 0 is the aggressor, so all-zero
+/// victims still name a victim. The aggressor delay is its first rising
+/// vdd/2 crossing, a quiet NaN when there is none. `unknowns` is left 0
+/// for the caller.
+BusCrosstalkResult scan_bus_noise(const std::vector<double>& time,
+                                  std::span<const std::vector<double>> far,
+                                  int aggressor, double vdd_v);
 
 /// Bare N-line coupled bus: the ladders and their neighbour coupling only —
 /// no stimulus source, driver resistors or receiver loads. head[l]/far[l]

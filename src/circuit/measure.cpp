@@ -39,43 +39,4 @@ double average_propagation_delay(const TransientResult& res, NodeId input,
   return 0.5 * (d1 + d2);
 }
 
-double rise_time(const TransientResult& res, NodeId node, double v_low,
-                 double v_high, double t_start) {
-  const double swing = v_high - v_low;
-  const auto& t = res.time();
-  const auto& v = res.voltage(node);
-  const double t10 =
-      first_crossing_time(t, v, v_low + 0.1 * swing, true, t_start);
-  if (t10 < 0) return -1.0;
-  const double t90 =
-      first_crossing_time(t, v, v_low + 0.9 * swing, true, t10);
-  if (t90 < 0) return -1.0;
-  return t90 - t10;
-}
-
-double fall_time(const TransientResult& res, NodeId node, double v_low,
-                 double v_high, double t_start) {
-  const double swing = v_high - v_low;
-  const auto& t = res.time();
-  const auto& v = res.voltage(node);
-  const double t90 =
-      first_crossing_time(t, v, v_high - 0.1 * swing, false, t_start);
-  if (t90 < 0) return -1.0;
-  const double t10 =
-      first_crossing_time(t, v, v_low + 0.1 * swing, false, t90);
-  if (t10 < 0) return -1.0;
-  return t10 - t90;
-}
-
-double peak_voltage(const TransientResult& res, NodeId node,
-                    double t_start) {
-  const auto& t = res.time();
-  const auto& v = res.voltage(node);
-  double peak = -1e300;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i] >= t_start) peak = std::max(peak, v[i]);
-  }
-  return peak;
-}
-
 }  // namespace cnti::circuit

@@ -1,5 +1,4 @@
-// Waveform measurements: propagation delay, rise/fall times, slew,
-// overshoot and switching energy — the quantities the paper's Fig. 12
+// Waveform measurements: the 50% propagation delays the paper's Fig. 12
 // delay-ratio benchmark reports.
 #pragma once
 
@@ -22,17 +21,5 @@ double propagation_delay(const TransientResult& res, NodeId input,
 double average_propagation_delay(const TransientResult& res, NodeId input,
                                  NodeId output, double v_mid,
                                  double t_second_edge);
-
-/// 10%-90% rise time of the first rising excursion after t_start.
-double rise_time(const TransientResult& res, NodeId node, double v_low,
-                 double v_high, double t_start = 0.0);
-
-/// 90%-10% fall time of the first falling excursion after t_start.
-double fall_time(const TransientResult& res, NodeId node, double v_low,
-                 double v_high, double t_start = 0.0);
-
-/// Peak voltage on a node within [t_start, end].
-double peak_voltage(const TransientResult& res, NodeId node,
-                    double t_start = 0.0);
 
 }  // namespace cnti::circuit

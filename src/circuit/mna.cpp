@@ -377,10 +377,10 @@ DcResult solve_dc_with(Backend& backend, const Circuit& ckt,
 template <typename Backend>
 TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
                                         const Layout& layout,
-                                        const TransientOptions& opt) {
+                                        const TransientOptions& opt,
+                                        const std::vector<NodeId>& probes) {
   const Assembler assembler(ckt, layout);
   const double dt = opt.dt_s;
-  const bool trap = opt.integrator == Integrator::kTrapezoidal;
 
   // Initial condition: DC operating point at t = 0 (its companion pattern
   // differs from the transient one, so it runs on its own backend).
@@ -413,9 +413,8 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
   const auto companion = [&](auto& a, std::vector<double>& b) {
     for (std::size_t k = 0; k < ckt.capacitors().size(); ++k) {
       const auto& c = ckt.capacitors()[k];
-      const double geq = (trap ? 2.0 : 1.0) * c.farads / dt;
-      const double ieq =
-          trap ? geq * cap_v_prev[k] + cap_i_prev[k] : geq * cap_v_prev[k];
+      const double geq = 2.0 * c.farads / dt;
+      const double ieq = geq * cap_v_prev[k] + cap_i_prev[k];
       stamp_g(a, c.a, c.b, geq);
       stamp_rhs(b, Layout::nv(c.a), ieq);
       stamp_rhs(b, Layout::nv(c.b), -ieq);
@@ -423,9 +422,8 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
     for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
       const auto& l = ckt.inductors()[k];
       const int br = layout.ind_offset + static_cast<int>(k);
-      const double req = (trap ? 2.0 : 1.0) * l.henries / dt;
-      const double veq = trap ? -req * ind_i_prev[k] - ind_v_prev[k]
-                              : -req * ind_i_prev[k];
+      const double req = 2.0 * l.henries / dt;
+      const double veq = -req * ind_i_prev[k] - ind_v_prev[k];
       // Branch row: v_a - v_b - req * i = veq.
       stamp_entry(a, Layout::nv(l.a), br, 1.0);
       stamp_entry(a, Layout::nv(l.b), br, -1.0);
@@ -441,14 +439,12 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
   const auto steps = static_cast<std::size_t>(
       std::ceil(opt.t_stop_s / dt - 1e-9)) + 1;
   std::vector<double> time(steps);
-  std::vector<std::vector<double>> volt(
-      static_cast<std::size_t>(layout.nodes) + 1,
-      std::vector<double>(steps, 0.0));
+  std::vector<std::vector<double>> volt(probes.size(),
+                                        std::vector<double>(steps, 0.0));
   const auto record = [&](std::size_t step, double t) {
     time[step] = t;
-    for (int n = 1; n <= layout.nodes; ++n) {
-      volt[static_cast<std::size_t>(n)][step] =
-          x[static_cast<std::size_t>(n - 1)];
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      volt[p][step] = Assembler::voltage(x, probes[p]);
     }
   };
   record(0, 0.0);
@@ -463,9 +459,8 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
       const auto& c = ckt.capacitors()[k];
       const double v =
           Assembler::voltage(x, c.a) - Assembler::voltage(x, c.b);
-      const double geq = (trap ? 2.0 : 1.0) * c.farads / dt;
-      const double i = trap ? geq * (v - cap_v_prev[k]) - cap_i_prev[k]
-                            : geq * (v - cap_v_prev[k]);
+      const double geq = 2.0 * c.farads / dt;
+      const double i = geq * (v - cap_v_prev[k]) - cap_i_prev[k];
       cap_v_prev[k] = v;
       cap_i_prev[k] = i;
     }
@@ -478,7 +473,7 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
     record(step, t);
   }
 
-  return TransientResult(std::move(time), std::move(volt));
+  return TransientResult(std::move(time), probes, std::move(volt));
 }
 
 }  // namespace
@@ -494,17 +489,21 @@ DcResult solve_dc(const Circuit& ckt, double time_s, const MnaOptions& mna) {
 }
 
 TransientResult simulate_transient(const Circuit& ckt,
-                                   const TransientOptions& opt) {
+                                   const TransientOptions& opt,
+                                   const std::vector<NodeId>& probes) {
   CNTI_EXPECTS(opt.t_stop_s > 0, "t_stop must be positive");
   CNTI_EXPECTS(opt.dt_s > 0 && opt.dt_s < opt.t_stop_s,
                "dt must be positive and below t_stop");
+  for (const NodeId n : probes) {
+    CNTI_EXPECTS(n >= 0 && n <= ckt.node_count(), "probe node out of range");
+  }
   const Layout layout(ckt);
   if (use_sparse(opt.mna, layout.size)) {
     SparseBackend backend(layout.size);
-    return simulate_transient_with(backend, ckt, layout, opt);
+    return simulate_transient_with(backend, ckt, layout, opt, probes);
   }
   DenseBackend backend(layout.size);
-  return simulate_transient_with(backend, ckt, layout, opt);
+  return simulate_transient_with(backend, ckt, layout, opt, probes);
 }
 
 }  // namespace cnti::circuit

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <numeric>
 #include <string>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "numerics/interp.hpp"
 #include "obs/obs.hpp"
 #include "rom/detail.hpp"
 
@@ -279,27 +277,11 @@ BusCrosstalkResult evaluate_driven_bus(const ReducedModel& driven,
   const ReducedModel::Transient tr =
       driven.simulate({edge}, t_stop_s, t_stop_s / time_steps);
 
-  BusCrosstalkResult out;
+  // The same scan as analyze_bus_crosstalk, so the KPIs compare
+  // field for field.
+  BusCrosstalkResult out =
+      circuit::scan_bus_noise(tr.time, tr.outputs, aggressor, sc.vdd_v);
   out.unknowns = driven.order();
-  out.worst_victim = aggressor == 0 ? 1 : 0;
-  for (int l = 0; l < nl; ++l) {
-    if (l == aggressor) continue;
-    const auto& vn = tr.outputs[static_cast<std::size_t>(l)];
-    for (std::size_t i = 0; i < tr.time.size(); ++i) {
-      if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
-        out.peak_noise_v = vn[i];
-        out.peak_time_s = tr.time[i];
-        out.worst_victim = l;
-      }
-    }
-  }
-  // Same sentinel policy as analyze_bus_crosstalk: never-crossed is a
-  // quiet NaN, not a negative delay.
-  const double crossing = numerics::first_crossing_time(
-      tr.time, tr.outputs[static_cast<std::size_t>(aggressor)],
-      sc.vdd_v / 2.0, /*rising=*/true);
-  out.aggressor_delay_s =
-      crossing < 0.0 ? std::numeric_limits<double>::quiet_NaN() : crossing;
   return out;
 }
 

@@ -111,7 +111,8 @@ double mna_line_delay_s(const core::DriverLineLoad& cfg, double vdd_v,
   opt.t_stop_s =
       5.0 * edge_time_s + std::max(20.0 * edge_time_s, 12.0 * r_total * c_total);
   opt.dt_s = opt.t_stop_s / time_steps;
-  const circuit::TransientResult res = circuit::simulate_transient(ckt, opt);
+  const circuit::TransientResult res =
+      circuit::simulate_transient(ckt, opt, {in, out});
 
   const double d = circuit::propagation_delay(res, in, out, vdd_v / 2.0,
                                               vdd_v / 2.0, /*rising_in=*/true);

@@ -1,5 +1,5 @@
-// Tests for AC analysis, an inverter VTC, DOS and the Raman quality metric —
-// the second-wave analysis features built on the core engines.
+// Tests for AC analysis and an inverter VTC — the second-wave analysis
+// features built on the core engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,18 +7,13 @@
 #include <limits>
 #include <vector>
 
-#include "atomistic/dos.hpp"
-#include "charz/raman.hpp"
 #include "circuit/ac.hpp"
 #include "circuit/builders.hpp"
 #include "circuit/mna.hpp"
 #include "core/mwcnt_line.hpp"
 
 namespace cir = cnti::circuit;
-namespace ca = cnti::atomistic;
-namespace cz = cnti::charz;
 namespace cc = cnti::core;
-namespace cp = cnti::process;
 
 namespace {
 
@@ -287,73 +282,6 @@ TEST(DcSweep, InverterVtc) {
   EXPECT_GT(max_gain, 1.0);
   EXPECT_GT(vm, 0.3);
   EXPECT_LT(vm, 0.7);
-}
-
-// --- DOS ---
-
-TEST(Dos, MetallicTubeHasFiniteDosAtFermi) {
-  const ca::BandStructure bands(ca::Chirality(7, 7));
-  const auto dos = ca::compute_dos(bands, 2.0, 400, 8001);
-  EXPECT_GT(dos.at(0.0), 0.0);
-  // Van Hove peak near the first subband edge (~1.17 eV) towers over the
-  // metallic plateau.
-  EXPECT_GT(dos.at(1.17), 3.0 * dos.at(0.5));
-}
-
-TEST(Dos, SemiconductingTubeHasGap) {
-  const ca::BandStructure bands(ca::Chirality(10, 0));
-  const auto dos = ca::compute_dos(bands, 2.0, 400, 8001);
-  EXPECT_NEAR(dos.at(0.0), 0.0, 1e-9);   // inside the gap
-  EXPECT_GT(dos.at(0.6), 0.0);           // beyond the band edge
-}
-
-TEST(Dos, ElectronHoleSymmetric) {
-  const ca::BandStructure bands(ca::Chirality(9, 0));
-  const auto dos = ca::compute_dos(bands, 2.5, 500, 8001);
-  for (double e : {0.5, 1.0, 1.8}) {
-    EXPECT_NEAR(dos.at(e), dos.at(-e), 0.15 * dos.at(e) + 1e-6);
-  }
-}
-
-TEST(Dos, ChargeTransferGrowsWithFermiShift) {
-  const ca::BandStructure bands(ca::Chirality(7, 7));
-  const auto dos = ca::compute_dos(bands, 2.0, 400, 8001);
-  const double q1 = ca::transferred_charge_per_cell(dos, -0.3);
-  const double q2 = ca::transferred_charge_per_cell(dos, -0.6);
-  EXPECT_GT(q1, 0.0);
-  EXPECT_GT(q2, q1);
-}
-
-// --- Raman ---
-
-TEST(Raman, CleanerGrowthLowersDOverG) {
-  cp::GrowthRecipe cold;
-  cold.temperature_c = 400.0;
-  cp::GrowthRecipe hot = cold;
-  hot.temperature_c = 650.0;
-  const auto sig_cold = cz::predict_raman(cp::evaluate_recipe(cold));
-  const auto sig_hot = cz::predict_raman(cp::evaluate_recipe(hot));
-  EXPECT_GT(sig_cold.d_over_g, sig_hot.d_over_g);
-  EXPECT_GT(sig_cold.g_width_cm1, sig_hot.g_width_cm1);
-}
-
-TEST(Raman, RbmTracksDiameter) {
-  cp::GrowthRecipe thin;
-  thin.catalyst_thickness_nm = 0.5;  // ~3.8 nm tubes
-  cp::GrowthRecipe thick = thin;
-  thick.catalyst_thickness_nm = 2.0;  // ~15 nm tubes
-  const auto sig_thin = cz::predict_raman(cp::evaluate_recipe(thin));
-  const auto sig_thick = cz::predict_raman(cp::evaluate_recipe(thick));
-  EXPECT_GT(sig_thin.rbm_cm1, sig_thick.rbm_cm1);
-}
-
-TEST(Raman, MetrologyRoundTrip) {
-  cp::GrowthRecipe recipe;
-  const auto quality = cp::evaluate_recipe(recipe);
-  const auto sig = cz::predict_raman(quality);
-  EXPECT_NEAR(cz::defect_spacing_from_raman(sig.d_over_g),
-              quality.defect_spacing_um,
-              1e-9 * quality.defect_spacing_um);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST_P(GoldenMnaWaveforms, RcLadderStepResponse) {
   topt.t_stop_s = 1.0e-9;
   topt.dt_s = 0.5e-12;
   topt.mna = mna();
-  const cir::TransientResult res = cir::simulate_transient(ckt, topt);
+  const cir::TransientResult res = cir::simulate_transient(ckt, topt, {far});
   const auto& v = res.voltage(far);
   const double t50 = cnti::numerics::first_crossing_time(
       res.time(), v, 0.5, /*rising=*/true);

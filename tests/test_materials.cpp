@@ -8,7 +8,6 @@
 #include "materials/cnt_mfp.hpp"
 #include "materials/composite.hpp"
 #include "materials/copper.hpp"
-#include "materials/thermal_props.hpp"
 
 namespace cm = cnti::materials;
 
@@ -177,12 +176,6 @@ TEST(Composite, RejectsInvalidFractions) {
   cm::CompositeSpec spec;
   spec.cnt_volume_fraction = 1.5;
   EXPECT_THROW(cm::composite_conductivity(spec), cnti::PreconditionError);
-}
-
-TEST(ThermalProps, PaperValues) {
-  EXPECT_DOUBLE_EQ(cm::thermal_copper().conductivity_w_mk, 385.0);
-  EXPECT_DOUBLE_EQ(cm::thermal_cnt_bundle(0.0).conductivity_w_mk, 3000.0);
-  EXPECT_DOUBLE_EQ(cm::thermal_cnt_bundle(1.0).conductivity_w_mk, 10000.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Cross-cutting unit tests: the API surface not exercised elsewhere —
-// units, tables/CSV, contracts, SPICE edge cases, measurement utilities,
-// electrostatics variants, via scaling, bundle requirements, wafer and
-// test-chip edge cases.
+// units, tables/CSV, contracts, SPICE edge cases, electrostatics
+// variants, via scaling, bundle requirements, wafer and test-chip edge
+// cases.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "charz/testchip.hpp"
-#include "circuit/measure.hpp"
 #include "circuit/spice_io.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -153,18 +152,6 @@ R2 b 0 2k
 )";
   auto parsed = cir::parse_spice(text);
   EXPECT_EQ(parsed.circuit.resistors().size(), 1u);  // R2 after .end ignored
-}
-
-TEST(Measure, FallTimeAndPeak) {
-  std::vector<double> t, v;
-  for (int i = 0; i <= 100; ++i) {
-    t.push_back(i * 1e-12);
-    v.push_back(i <= 50 ? 1.0 - i / 50.0 : 0.0);  // 50 ps linear fall
-  }
-  const cir::TransientResult res(t, {std::vector<double>(101, 0.0), v});
-  EXPECT_NEAR(cir::fall_time(res, 1, 0.0, 1.0), 40e-12, 1e-13);
-  EXPECT_NEAR(cir::peak_voltage(res, 1), 1.0, 1e-12);
-  EXPECT_NEAR(cir::peak_voltage(res, 1, 60e-12), 0.0, 1e-12);
 }
 
 TEST(Electrostatics, BetweenPlanesDoublesOverPlane) {

@@ -1,11 +1,11 @@
-// Tests for the process module: CVD growth model trends, chirality
-// statistics, composite fill, the variability Monte Carlo (doping
-// suppresses spread — the paper's central claim) and wafer maps.
+// Tests for the process module: CVD growth model trends, composite fill,
+// the variability Monte Carlo (doping suppresses spread — the paper's
+// central claim) and wafer maps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "process/chirality_stats.hpp"
+#include "numerics/rng.hpp"
 #include "process/composite_process.hpp"
 #include "process/cvd.hpp"
 #include "process/variability.hpp"
@@ -77,34 +77,10 @@ TEST(Cvd, ThickerCatalystGrowsFatterTubes) {
             cp::evaluate_recipe(thin).mean_diameter_nm);
 }
 
-TEST(Chirality, SamplingDeterministicBySeed) {
-  cnti::numerics::Rng a(77), b(77);
-  for (int i = 0; i < 20; ++i) {
-    const auto ca_ = cp::sample_chirality(1.2, a);
-    const auto cb = cp::sample_chirality(1.2, b);
-    EXPECT_EQ(ca_.n(), cb.n());
-    EXPECT_EQ(ca_.m(), cb.m());
-  }
-}
-
 TEST(Cvd, RejectsUnphysicalRecipes) {
   cp::GrowthRecipe bad;
   bad.temperature_c = 50.0;
   EXPECT_THROW(cp::evaluate_recipe(bad), cnti::PreconditionError);
-}
-
-TEST(Chirality, SamplesNearRequestedDiameter) {
-  cnti::numerics::Rng rng(23);
-  for (int i = 0; i < 50; ++i) {
-    const auto ch = cp::sample_chirality(1.5, rng);
-    EXPECT_NEAR(ch.diameter() * 1e9, 1.5, 0.2);
-  }
-}
-
-TEST(Chirality, OneThirdMetallic) {
-  cnti::numerics::Rng rng(29);
-  const double f = cp::sampled_metallic_fraction(1.2, 3000, rng);
-  EXPECT_NEAR(f, 1.0 / 3.0, 0.05);
 }
 
 TEST(Composite, EcdNeedsConductiveSubstrate) {

@@ -599,7 +599,7 @@ TEST(Prima, StepResponseMatchesTransientEngineOnRcLadder) {
   cir::TransientOptions topt;
   topt.t_stop_s = 2e-9;
   topt.dt_s = 2e-12;
-  const auto full = cir::simulate_transient(ckt, topt);
+  const auto full = cir::simulate_transient(ckt, topt, {out});
 
   const auto rm = reduce_observing(ckt, out, 12);
   const auto red =
