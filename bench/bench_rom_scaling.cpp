@@ -19,6 +19,14 @@
 // (cnti.solver.nnz_lu == 2 n: a nodal stamp would be as wide as the line
 // count) and the band solves' backward error.
 //
+// A third table times one per-drive reduction both ways on the 16 x 64
+// and 16 x 128 buses: one PRIMA run on the whole terminated bus (single
+// stage) against rom::reduce_driven_bus (a kModeOrder-vector reduction of
+// every line mode in lockstep, then PRIMA on the block model). It checks
+// that a drive is one cnti.rom.reductions count, two factorizations and
+// kModeOrder + kDrivenBusOrder solves, and that the two paths' KPIs agree
+// to 1e-5 over strong and weak drivers, both loads and both aggressors.
+//
 // Metrics land in BENCH_bench_rom_scaling.json when CNTI_BENCH_JSON is
 // set (see bench_common.hpp), which is where the perf trajectory tracking
 // starts.
@@ -27,6 +35,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,6 +232,93 @@ void print_reduction_ladder() {
             << " the sparse LU on every rung\n";
 }
 
+/// Per-drive reduction: single-stage PRIMA of the terminated bus against
+/// the two-stage rom::reduce_driven_bus, timed and checked.
+void print_per_drive_reduction() {
+  Table t({"bus (per drive)", "n", "single-stage [us]", "two-stage [us]",
+           "speedup", "factorizations", "solves", "max KPI diff"});
+  for (const auto& [lines, segments] :
+       {std::pair{16, 64}, std::pair{16, 128}}) {
+    const circuit::BusTopology topology = paper_bus(lines, segments);
+    const rom::BusStateSpace bare = rom::stamp_bus(topology);
+    const std::string tag =
+        std::to_string(lines) + "x" + std::to_string(segments);
+    const auto single_stage = [&](const circuit::BusDrive& drive) {
+      rom::PrimaOptions opt;
+      opt.order = rom::kDrivenBusOrder;
+      opt.expansion_rad_per_s =
+          20.0 / circuit::bus_settle_time_s(topology, drive);
+      return rom::prima_reduce(rom::terminate_bus(bare, drive), opt);
+    };
+
+    double max_diff = 0.0;
+    for (const double ohm : {200.0, 100e3}) {
+      for (const double load : {0.0, 5e-15}) {
+        for (const int aggressor : {0, lines / 2}) {
+          circuit::BusDrive drive;
+          drive.aggressor = aggressor;
+          drive.driver_ohm = ohm;
+          drive.receiver_load_f = load;
+          rom::BusScenario sc;
+          sc.driver_ohm = ohm;
+          sc.receiver_load_f = load;
+          const double window = circuit::bus_settle_time_s(topology, drive);
+          const auto a = rom::evaluate_driven_bus(single_stage(drive),
+                                                  aggressor, sc, window,
+                                                  kTimeSteps);
+          const auto b = rom::evaluate_driven_bus(
+              rom::reduce_driven_bus(bare, drive), aggressor, sc, window,
+              kTimeSteps);
+          max_diff = std::max(
+              {max_diff,
+               std::abs(b.peak_noise_v - a.peak_noise_v) /
+                   std::abs(a.peak_noise_v),
+               std::abs(b.aggressor_delay_s - a.aggressor_delay_s) /
+                   a.aggressor_delay_s});
+        }
+      }
+    }
+
+    circuit::BusDrive drive;
+    drive.driver_ohm = 2e3;
+    drive.receiver_load_f = 0.5e-15;
+    const obs::Counter reductions = obs::counter("cnti.rom.reductions");
+    const obs::Counter factorizations =
+        obs::counter("cnti.solver.factorizations");
+    const obs::Counter solves = obs::counter("cnti.solver.solves");
+    const std::uint64_t n0 = reductions.value();
+    const std::uint64_t f0 = factorizations.value();
+    const std::uint64_t s0 = solves.value();
+    benchmark::DoNotOptimize(rom::reduce_driven_bus(bare, drive));
+    const std::uint64_t n = reductions.value() - n0;
+    const std::uint64_t f = factorizations.value() - f0;
+    const std::uint64_t sv = solves.value() - s0;
+
+    const auto [t_single, t_two] = min_interleaved(
+        200, [&] { benchmark::DoNotOptimize(single_stage(drive)); },
+        [&] { benchmark::DoNotOptimize(rom::reduce_driven_bus(bare, drive)); });
+    t.add_row({std::to_string(lines) + " x " + std::to_string(segments),
+               std::to_string(bare.size()), Table::num(1e6 * t_single, 4),
+               Table::num(1e6 * t_two, 4), Table::num(t_single / t_two, 3),
+               std::to_string(f), std::to_string(sv),
+               Table::num(max_diff, 3)});
+    bench::check(n == 1, "a " + tag + " drive is not one reduction");
+    bench::check(f == 2, "a " + tag + " drive is not two factorizations");
+    bench::check(sv == static_cast<std::uint64_t>(rom::kModeOrder +
+                                                  rom::kDrivenBusOrder),
+                 "a " + tag + " drive is not kModeOrder + kDrivenBusOrder "
+                 "solves");
+    bench::check(max_diff <= 1e-5, "two-stage KPIs off single-stage by more "
+                                   "than 1e-5 on " + tag);
+    bench::json().set("single_stage_reduce_us_" + tag, 1e6 * t_single);
+    bench::json().set("two_stage_reduce_us_" + tag, 1e6 * t_two);
+  }
+  std::cout << "\nPer-drive reduction (single-stage PRIMA of the terminated "
+               "bus vs two-stage reduce_driven_bus, min of 200 interleaved "
+               "rounds; KPI diff over 8 drives):\n";
+  t.print(std::cout);
+}
+
 void print_reproduction() {
   bench::print_header(
       "PRIMA ROM vs full sparse-MNA on the 16 x 128 coupled bus",
@@ -312,6 +408,7 @@ void print_reproduction() {
   bench::json().set("max_delay_err_pct", 100.0 * max_delay_err);
 
   print_reduction_ladder();
+  print_per_drive_reduction();
 }
 
 void BM_PrimaReduceBus(benchmark::State& state) {

@@ -95,8 +95,13 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
+  /// mean + sigma * z for a standard normal draw z. sigma = 0 returns the
+  /// mean (std::normal_distribution itself requires sigma > 0) and
+  /// consumes the same draws as any other sigma, so a noise-free run keeps
+  /// every later draw of its stream.
   double normal(double mean = 0.0, double sigma = 1.0) {
-    return std::normal_distribution<double>(mean, sigma)(engine_);
+    CNTI_EXPECTS(sigma >= 0, "normal sigma must be >= 0");
+    return mean + sigma * std::normal_distribution<double>()(engine_);
   }
 
   /// Lognormal parameterized by the *linear-space* median and the sigma of

@@ -8,6 +8,8 @@
 
 #include "common/error.hpp"
 #include "numerics/matrix.hpp"
+#include "obs/obs.hpp"
+#include "rom/prima.hpp"
 #include "rom/reduced_model.hpp"
 #include "rom/state_space.hpp"
 
@@ -56,6 +58,22 @@ inline void axpy_rows(const double* a, const double* rows, std::size_t stride,
   }
   for (; k < count; ++k) axpy(a[k], rows + k * stride, y, n);
 }
+
+/// One reduction as the obs registry sees it: counted once in
+/// cnti.rom.reductions and timed, for the scope's lifetime, as a
+/// "prima.reduce" span into cnti.rom.reduce_ns. prima_reduce opens one
+/// per call; reduce_driven_bus opens one around both of its stages.
+class ReductionScope {
+ public:
+  ReductionScope();
+
+ private:
+  obs::ObsSpan span_;
+};
+
+/// prima_reduce without its ReductionScope: the caller counts and times
+/// the reduction.
+ReducedModel prima_krylov(const StateSpace& ss, const PrimaOptions& options);
 
 /// Orthonormalizes `w` against the orthonormal `basis` by classical
 /// Gram-Schmidt with one reorthogonalization (CGS2: twice h = V^T w, then

@@ -7,9 +7,12 @@
 // and reduces it as a one-input system (current into the aggressor head,
 // far ends observed), so a handful of Krylov vectors capture the response
 // that a bare 2N-port reduction needs blocks of 2N columns per moment
-// for. The Thevenin aggressor driver enters as its Norton equivalent and
-// the whole transient runs on the small system, on the identical stimulus
-// and time grid as the sparse-MNA transient.
+// for. The reduction runs in two stages: each line mode's chain is reduced
+// on its own (all modes in lockstep), then the small block-diagonal model
+// of all modes is reduced once more to a dense one. The Thevenin aggressor
+// driver enters as its Norton equivalent and the whole transient runs on
+// the small system, on the identical stimulus and time grid as the
+// sparse-MNA transient.
 //
 // Every function here is pure: share one BusStateSpace across threads and
 // evaluate drives in parallel through core::run_sweep / ThreadPool.
@@ -61,10 +64,13 @@ BusTheta bus_theta(const BusTechPoint& point, double driver_siemens,
 /// lambda_k = 4 sin^2(pi k / 2N) times the coupling). State k * chain() + p
 /// is chain position p (head, contact if any, ladder, far end) of mode k.
 /// P is orthogonal, so PRIMA builds the same reduced model as from the
-/// nodal system in exact arithmetic, on a half-bandwidth-1 factor. g(theta) and c(theta) write
-/// sum_k theta[k] A_k straight into sorted CSR; only the topology is
-/// stored, and bare_bus_ports / terminate_bus build the port maps (line
-/// l's head or far end is column l of Q on that position of every mode).
+/// nodal system in exact arithmetic, on a half-bandwidth-1 factor.
+/// g(theta) and c(theta) write sum_k theta[k] A_k straight into sorted
+/// CSR; only the topology is stored, and bare_bus_ports / terminate_bus
+/// build the port maps (line l's head or far end is column l of Q on that
+/// position of every mode). One per-position stamp formula serves both
+/// g()/c() and the per-drive reduction, which reads it chain by chain and
+/// builds no CSR of the whole bus.
 struct BusStateSpace {
   circuit::BusTopology topology;
 
@@ -102,9 +108,31 @@ StateSpace terminate_bus(const BusStateSpace& bare,
 /// 0..5 fF (table in docs/MODEL_ORDER_REDUCTION.md).
 inline constexpr int kDrivenBusOrder = 12;
 
-/// terminate_bus + prima_reduce at kDrivenBusOrder vectors, expanded at
-/// 20 / bus_settle_time_s(bare.topology, drive): the drive's own
-/// analysis-window corner.
+/// Krylov levels per line mode in the first stage of a per-drive
+/// reduction: the smallest that keeps every bus of the accuracy table in
+/// docs/MODEL_ORDER_REDUCTION.md at its single-stage error (4 lets the
+/// 4 x 256 bus at 1 mm drift to 2.8e-4 against MNA, 3 the 16 x 64 bus to
+/// 8.9e-4).
+inline constexpr int kModeOrder = 5;
+
+/// The bus under one drive reduced to kDrivenBusOrder states, expanded at
+/// s0 = 20 / bus_settle_time_s(bare.topology, drive): the drive's own
+/// analysis-window corner. Two PRIMA stages at that s0:
+///  1. every line mode's chain (a unit current into its head, its far end
+///     out; independent of the aggressor) gets kModeOrder Krylov vectors
+///     of its own, all modes in lockstep on one tridiagonal factor, with
+///     per-mode deflation. The bus projected onto these block-diagonal
+///     bases is an N * kModeOrder-state system (fewer when a short chain
+///     deflates) with exactly symmetric blocks;
+///  2. prima_reduce's Krylov and projection at kDrivenBusOrder vectors on
+///     that system, whose pencil is a band of half-bandwidth
+///     kModeOrder - 1.
+/// The result has terminate_bus's port shape (the aggressor-head input,
+/// the far-end outputs) and full_order() = bare.size(). It counts as one
+/// reduction: one cnti.rom.reductions count and one cnti.rom.reduce_ns
+/// sample ("prima.reduce" span) over both stages, stage 1 a "prima.modes"
+/// span. Each stage's factor and solves count in cnti.solver.*: two
+/// factorizations and kModeOrder + kDrivenBusOrder solves.
 ReducedModel reduce_driven_bus(const BusStateSpace& bare,
                                const circuit::BusDrive& drive);
 

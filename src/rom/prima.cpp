@@ -138,7 +138,23 @@ MatrixD detail::project_ports(const MatrixD& m,
   return mr;
 }
 
+detail::ReductionScope::ReductionScope()
+    : span_("prima.reduce", "rom", [] {
+        static const obs::Counter reductions =
+            obs::counter("cnti.rom.reductions");
+        static const obs::Histogram reduce_hist =
+            obs::histogram("cnti.rom.reduce_ns");
+        reductions.add();
+        return reduce_hist;
+      }()) {}
+
 ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
+  const detail::ReductionScope scope;
+  return detail::prima_krylov(ss, options);
+}
+
+ReducedModel detail::prima_krylov(const StateSpace& ss,
+                                  const PrimaOptions& options) {
   CNTI_EXPECTS(options.order >= 1, "prima: order must be >= 1");
   CNTI_EXPECTS(options.expansion_rad_per_s >= 0,
                "prima: expansion point must be >= 0");
@@ -149,15 +165,10 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   const int q_target =
       std::min(options.order, ss.size);  // cannot exceed the full order
 
-  static const obs::Counter reductions = obs::counter("cnti.rom.reductions");
   static const obs::Counter arnoldi_vectors =
       obs::counter("cnti.rom.arnoldi_vectors");
   static const obs::Counter deflations = obs::counter("cnti.rom.deflations");
   static const obs::Gauge basis_gauge = obs::gauge("cnti.rom.basis_size");
-  static const obs::Histogram reduce_hist =
-      obs::histogram("cnti.rom.reduce_ns");
-  reductions.add();
-  const obs::ObsSpan reduce_span("prima.reduce", "rom", reduce_hist);
 
   // K is factored once and reused for every Arnoldi solve: as a band when
   // it is exactly symmetric and narrow (RC networks), else by sparse LU

@@ -190,9 +190,9 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
     if (s.analysis.noise_model == NoiseModel::kReducedOrder) {
       // Disk-persisted leaf: the evaluated noise result per (topology,
       // drive, grid). The compute stamps the bus (rom::stamp_bus checks
-      // the topology and stores nothing else), terminates it for this
-      // drive and reduces it as a one-input system
-      // (rom::evaluate_bus_drive); a warm disk hit stamps nothing.
+      // the topology and stores nothing else) and reduces it under this
+      // drive as a one-input system (rom::evaluate_bus_drive); a warm disk
+      // hit stamps nothing.
       // .v3: the settle window gained the receiver load and the delay
       // sentinel became NaN — same key inputs, different values, so the
       // schema bump retires every pre-fix persisted entry (PR-7 policy).
@@ -210,7 +210,10 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v9 (2026-10-19): the bus is stamped in its line modes (N
       // decoupled chains, band factor at half-bandwidth 1, reciprocal
       // pivots) and PRIMA orthonormalizes by CGS2; last bits move.
-      KeyHasher eval_key = topology_hasher("stage.bus-rom-eval.v9", topology);
+      // .v10 (2026-10-20): the reduction runs in two stages (5 Krylov
+      // vectors per line mode, then 12 on the block model); the reduced
+      // models and KPIs move (within 3e-8 on the 16-line paper buses).
+      KeyHasher eval_key = topology_hasher("stage.bus-rom-eval.v10", topology);
       eval_key.add(drive.aggressor)
           .add(drive.driver_ohm)
           .add(drive.receiver_load_f)

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <random>
 #include <string>
 
 #include "circuit/crosstalk.hpp"
@@ -563,6 +564,26 @@ TEST(Rng, DeterministicBySeed) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
   }
+}
+
+TEST(Rng, NormalAcceptsZeroSigmaAndKeepsTheStream) {
+  // sigma > 0: the same bits as std::normal_distribution(mean, sigma) on
+  // the same engine, so seeded streams are unchanged.
+  cn::Rng rng(17);
+  cn::Xoshiro256ss engine(17);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.normal(2.5, 0.3),
+              std::normal_distribution<double>(2.5, 0.3)(engine));
+  }
+  // sigma = 0 is the mean itself and consumes the draws of any other
+  // sigma: the next draw matches a stream that drew with sigma = 1.
+  cn::Rng quiet(5), noisy(5);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(quiet.normal(3.0, 0.0), 3.0);
+    noisy.normal(3.0, 1.0);
+  }
+  EXPECT_EQ(quiet.uniform(), noisy.uniform());
+  EXPECT_THROW(quiet.normal(0.0, -1.0), cnti::PreconditionError);
 }
 
 TEST(Rng, TruncatedNormalRespectsBounds) {
