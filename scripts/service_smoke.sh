@@ -5,7 +5,11 @@
 #   3. rerun the identical study with --require-warm — the client exits 3
 #      if the server recomputed anything (every stage must come from disk);
 #   4. results must be byte-identical across the restart (cmp of the CSVs);
-#   5. stop the daemon through the wire protocol and check exit codes.
+#   5. stop the daemon, leave two cache entries in the shapes a power loss
+#      leaves behind (one zero-filled in place, one cut to 0 bytes),
+#      restart and rerun the study: the vandalized entries must be evicted
+#      and recomputed, and the CSV must still match the cold one;
+#   6. stop the daemon through the wire protocol and check exit codes.
 #
 # usage: service_smoke.sh <build-dir>
 set -eu
@@ -62,6 +66,26 @@ echo "== warm run (must hit the disk cache for every stage) =="
 
 echo "== results bit-identical across restart =="
 cmp "$work/cold.csv" "$work/warm.csv"
+
+echo "== power-loss shaped entries heal across a restart =="
+kill -TERM "$server_pid"
+wait "$server_pid" || { echo "server exited non-zero on SIGTERM"; exit 1; }
+server_pid=""
+entries="$(find "$work/cache" -name '*.cache' | sort | head -2)"
+zeroed="$(echo "$entries" | sed -n 1p)"
+emptied="$(echo "$entries" | sed -n 2p)"
+[ -n "$emptied" ] || { echo "fewer than two cache entries to vandalize"; exit 1; }
+head -c "$(wc -c < "$zeroed")" /dev/zero | dd of="$zeroed" conv=notrunc \
+  status=none
+: > "$emptied"
+
+start_server
+"$client" --port "$port" --demo 6 --csv "$work/healed.csv" \
+  > "$work/healed.log"
+cat "$work/healed.log"
+grep -q 'misses=[1-9]' "$work/healed.log" ||
+  { echo "vandalized entries were not recomputed"; exit 1; }
+cmp "$work/cold.csv" "$work/healed.csv"
 
 echo "== protocol shutdown =="
 "$client" --port "$port" --demo 0 --shutdown

@@ -1,10 +1,21 @@
-// Crash-safe file publication: write the full contents to a unique
-// temporary sibling, flush it to stable storage, then rename() onto the
-// final path. Readers therefore only ever observe either the old file or
-// the complete new one — never a truncated half-write — which is the
-// contract both the service DiskCache and the bench JsonMetricSink rely
-// on ("publish or nothing").
+// Atomic file publication: write the full contents to a unique temporary
+// sibling, then rename() onto the final path. A concurrent reader, or a
+// process that crashes mid-write, therefore only ever observes either the
+// old file or the complete new one — never a half-written file at the
+// final path. Both the service DiskCache and the bench JsonMetricSink
+// publish through this one writer.
+//
+// There is no durability promise across a power loss: nothing is synced
+// to stable storage, so afterwards the final path may name a file whose
+// data never reached the disk (empty, zero-filled or cut short). Readers
+// validate what they read instead. Every DiskCache entry carries its own
+// length, identity echo and trailing checksum, so such a file is evicted
+// and recomputed, never returned; a BENCH JSON file cut short fails to
+// parse loudly and the bench is rerun. A process crash loses nothing,
+// because the page cache survives it.
 #pragma once
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -14,73 +25,42 @@
 #include <string>
 #include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 namespace cnti {
 
 /// Marker every in-flight temporary carries; a crash leaves such files
 /// behind, and startup sweeps (e.g. DiskCache's) may delete them freely.
 inline constexpr std::string_view kAtomicTempMarker = ".tmp.";
 
-/// Writes `bytes` to `path` atomically (temp + fsync + rename). Throws
-/// std::runtime_error when the bytes cannot be durably published; the
-/// target is left untouched in that case.
+/// Writes `bytes` to `path` atomically (temp sibling + rename): readers see
+/// the old file or the complete new one. Makes no durability promise across
+/// a power loss. Throws std::runtime_error when the bytes cannot be
+/// published; the target is left untouched and no temp file remains.
 inline void write_file_atomic(const std::string& path,
                               std::string_view bytes) {
   namespace fs = std::filesystem;
   static std::atomic<std::uint64_t> sequence{0};
-#if defined(__unix__) || defined(__APPLE__)
   const std::string tmp = path + std::string(kAtomicTempMarker) +
                           std::to_string(::getpid()) + "." +
                           std::to_string(sequence.fetch_add(1));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("atomic write: cannot create temp file " + tmp);
-  }
-  std::size_t written = 0;
-  bool ok = true;
-  while (written < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before rename: the rename must never expose a file whose bytes
-  // are still only in the page cache when the machine loses power.
-  if (ok && ::fsync(fd) != 0) ok = false;
-  if (::close(fd) != 0) ok = false;
-  if (!ok) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
-    throw std::runtime_error("atomic write: cannot write " + tmp);
-  }
-#else
-  const std::string tmp = path + std::string(kAtomicTempMarker) +
-                          std::to_string(sequence.fetch_add(1));
+  std::error_code ec;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     if (!out) {
-      std::error_code ignored;
-      fs::remove(tmp, ignored);
+      throw std::runtime_error("atomic write: cannot create temp file " + tmp);
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      fs::remove(tmp, ec);
       throw std::runtime_error("atomic write: cannot write " + tmp);
     }
   }
-#endif
-  std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
+    const std::string reason = ec.message();
+    fs::remove(tmp, ec);
     throw std::runtime_error("atomic write: cannot rename " + tmp + " -> " +
-                             path + ": " + ec.message());
+                             path + ": " + reason);
   }
 }
 

@@ -56,8 +56,10 @@ inline std::string json_number(double value) {
 /// ending in ".json" or a directory that receives BENCH_<bench name>.json.
 /// Thread-safe: benches and the scenario service record metrics from pool
 /// threads, so every accessor locks. The output file is published
-/// atomically (write_file_atomic) so a crash mid-write never leaves a
-/// truncated .json for the CI artifact collector to trip over.
+/// atomically (write_file_atomic), so a process crash mid-write never
+/// leaves a truncated .json for the CI artifact collector to trip over.
+/// Nothing is synced to disk: a file cut short by a power loss fails to
+/// parse loudly, and the bench is rerun.
 class JsonMetricSink {
  public:
   static JsonMetricSink& instance() {

@@ -3,8 +3,12 @@
 // value-codec schema stored alongside. Survives daemon restarts — the warm
 // path of the scenario service — while staying crash-safe and self-healing:
 //
-//   - writes publish atomically (temp sibling + fsync + rename), so a crash
-//     mid-store leaves either the old entry or none, never a torn file;
+//   - writes publish atomically (temp sibling + rename, nothing synced),
+//     so a reader or a crashed writer sees either the old entry or none,
+//     never a torn file. A power loss may leave a renamed entry whose data
+//     never reached the disk (empty, zero-filled or cut short); the next
+//     bullet turns that into a recompute. Entries are content-addressed and
+//     deterministic, so the bytes at a path are the right bytes or garbage;
 //   - every read re-validates magic, stage/schema/key echo, payload length
 //     and a trailing FNV-1a-64 checksum (trailing, so truncation always
 //     breaks it); anything invalid is deleted and reported as a miss, which

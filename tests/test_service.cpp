@@ -1,7 +1,8 @@
 // Scenario service tests: the JSON wire parser, the Scenario/Result
-// serialization round trips (bit-identical doubles), the crash-safe
-// disk cache (corruption/truncation/version eviction, LRU bounds,
-// restart persistence), the MemoCache tier integration, and the daemon
+// serialization round trips (bit-identical doubles), the atomic file
+// writer, the crash-safe disk cache (corruption/truncation/version and
+// power-loss eviction, LRU bounds and recency, restart persistence), the
+// MemoCache tier integration, and the daemon
 // itself — including the acceptance contract that N concurrent wire
 // clients receive results bit-identical to direct ScenarioEngine::run
 // calls, cold or warm.
@@ -12,13 +13,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -347,10 +353,67 @@ TEST(ServiceProtocol, EnumWireNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Atomic publication.
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(AtomicFile, OverwriteLeavesExactlyTheNewBytes) {
+  const TempDir dir;
+  const std::string path = dir.path() + "/target.bin";
+  cnti::write_file_atomic(path, std::string(4096, 'o'));
+  const std::string fresh("new\0bytes", 9);
+  cnti::write_file_atomic(path, fresh);
+  EXPECT_EQ(read_all(path), fresh);
+  cnti::write_file_atomic(path, "");
+  EXPECT_EQ(fs::file_size(path), 0u);
+}
+
+TEST(AtomicFile, NoTempSiblingRemainsAfterSuccess) {
+  const TempDir dir;
+  for (int i = 0; i < 3; ++i) {
+    cnti::write_file_atomic(dir.path() + "/f" + std::to_string(i), "bytes");
+  }
+  cnti::write_file_atomic(dir.path() + "/f0", "overwritten");
+  std::vector<std::string> names;
+  for (const auto& de : fs::directory_iterator(dir.path())) {
+    names.push_back(de.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"f0", "f1", "f2"}));
+}
+
+TEST(AtomicFile, MissingDirectoryThrowsAndLeavesNoTempFile) {
+  const TempDir dir;
+  const std::string missing = dir.path() + "/absent";
+  EXPECT_THROW(cnti::write_file_atomic(missing + "/target.bin", "bytes"),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(missing));
+  EXPECT_TRUE(fs::is_empty(dir.path()));
+}
+
+// ---------------------------------------------------------------------------
 // Disk cache.
 
 sc::ContentKey test_key(int i) {
   return sc::KeyHasher("test.v1").add(i).key();
+}
+
+/// Damages an entry file in place.
+using Vandalize = std::function<void(const fs::path&)>;
+
+/// Leaves a file empty, as a power loss may when a renamed entry's data
+/// never reached the disk.
+void empty_file(const fs::path& path) { fs::resize_file(path, 0); }
+
+/// Overwrites a file with as many zero bytes as it held: the other shape a
+/// power loss may leave at a renamed entry's final path.
+void zero_fill(const fs::path& path) {
+  const auto size = fs::file_size(path);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << std::string(size, '\0');
 }
 
 TEST(DiskCache, StoreLoadRoundTripAndStats) {
@@ -476,6 +539,57 @@ TEST(DiskCache, LruEvictionKeepsRecentEntriesUnderTheByteBudget) {
   // The newest entry always survives; the oldest is gone.
   EXPECT_TRUE(cache.load("stage", "s.v1", test_key(5)).has_value());
   EXPECT_FALSE(cache.load("stage", "s.v1", test_key(0)).has_value());
+}
+
+TEST(DiskCache, PowerLossShapesAtTheFinalPathReadAsHealingMisses) {
+  const std::string payload = "lost in a power cut";
+  // Cut to the header: the payload and the 8-byte checksum trailer are lost.
+  const auto cut_to_header = [&](const fs::path& path) {
+    fs::resize_file(path, fs::file_size(path) - payload.size() - 8);
+  };
+  const std::vector<std::pair<std::string, Vandalize>> shapes = {
+      {"empty", empty_file},
+      {"zero-filled", zero_fill},
+      {"cut to header", cut_to_header}};
+  for (const auto& [name, vandalize] : shapes) {
+    SCOPED_TRACE(name);
+    const TempDir dir;
+    sv::DiskCache cache({dir.path()});
+    cache.store("stage", "s.v1", test_key(5), payload);
+    const auto entry = fs::directory_iterator(dir.path())->path().string();
+    const std::string intact = read_all(entry);
+    vandalize(entry);
+    ASSERT_NE(read_all(entry), intact);
+
+    EXPECT_FALSE(cache.load("stage", "s.v1", test_key(5)).has_value());
+    const sv::DiskCacheStats st = cache.stats();
+    EXPECT_EQ(st.corrupt_evictions, 1u);
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.entries, 0u);
+    EXPECT_FALSE(fs::exists(entry));
+  }
+}
+
+TEST(DiskCache, LoadRefreshesRecencySoATouchedOldEntrySurvives) {
+  const TempDir dir;
+  sv::DiskCacheOptions options;
+  options.dir = dir.path();
+  const std::string payload(64, 'p');
+  // Exactly three entries fit (each is payload + 57 header/trailer bytes).
+  options.max_bytes = 3 * (payload.size() + 57);
+  sv::DiskCache cache(options);
+  for (int i = 0; i < 3; ++i) {
+    cache.store("stage", "s.v1", test_key(i), payload);
+  }
+  ASSERT_EQ(cache.stats().lru_evictions, 0u);
+  // Touch the oldest entry; the next store must evict the untouched one.
+  ASSERT_TRUE(cache.load("stage", "s.v1", test_key(0)).has_value());
+  cache.store("stage", "s.v1", test_key(3), payload);
+  EXPECT_EQ(cache.stats().lru_evictions, 1u);
+  EXPECT_TRUE(cache.load("stage", "s.v1", test_key(0)).has_value());
+  EXPECT_FALSE(cache.load("stage", "s.v1", test_key(1)).has_value());
+  EXPECT_TRUE(cache.load("stage", "s.v1", test_key(2)).has_value());
+  EXPECT_TRUE(cache.load("stage", "s.v1", test_key(3)).has_value());
 }
 
 TEST(DiskCache, StrayAtomicTempFilesAreSweptAtStartup) {
@@ -625,6 +739,62 @@ TEST(EngineTier, CorruptedEntrySelfHealsWithIdenticalResults) {
   (void)again.run_batch(batch);
   for (const auto& [stage, st] : again.cache().all_stats()) {
     EXPECT_EQ(st.misses, 0u) << "stage " << stage;
+  }
+}
+
+/// Runs a batch cold into a fresh disk tier, applies `vandalize` to every
+/// entry file, then requires a second engine to evict each one and
+/// recompute results bitwise equal to the cold ones, and a third engine to
+/// see all hits.
+void expect_engine_heals(const Vandalize& vandalize) {
+  const TempDir dir;
+  const auto batch = full_batch(2);
+  std::vector<sc::ScenarioResult> cold;
+  {
+    const sc::ScenarioEngine engine(tiered_options(dir.path()));
+    cold = engine.run_batch(batch);
+  }
+  std::uint64_t vandalized = 0;
+  for (const auto& de : fs::directory_iterator(dir.path())) {
+    vandalize(de.path());
+    ++vandalized;
+  }
+  ASSERT_GT(vandalized, 0u);
+  const auto options = tiered_options(dir.path());
+  const sc::ScenarioEngine engine(options);
+  const auto healed = engine.run_batch(batch);
+  ASSERT_EQ(healed.size(), cold.size());
+  for (std::size_t k = 0; k < healed.size(); ++k) {
+    expect_bit_identical(healed[k], cold[k]);
+  }
+  const auto* disk = dynamic_cast<sv::DiskCache*>(options.tier.get());
+  ASSERT_NE(disk, nullptr);
+  EXPECT_EQ(disk->stats().corrupt_evictions, vandalized);
+  EXPECT_EQ(disk->stats().hits, 0u);
+  const sc::ScenarioEngine again(tiered_options(dir.path()));
+  const auto warm = again.run_batch(batch);
+  for (std::size_t k = 0; k < warm.size(); ++k) {
+    expect_bit_identical(warm[k], cold[k]);
+  }
+  for (const auto& [stage, st] : again.cache().all_stats()) {
+    EXPECT_EQ(st.misses, 0u) << "stage " << stage;
+  }
+}
+
+TEST(EngineTier, PowerLossShapedEntriesRecomputeBitwiseAndHeal) {
+  {
+    SCOPED_TRACE("empty");
+    expect_engine_heals(empty_file);
+  }
+  {
+    SCOPED_TRACE("zero-filled");
+    expect_engine_heals(zero_fill);
+  }
+  {
+    SCOPED_TRACE("cut short");
+    expect_engine_heals([](const fs::path& path) {
+      fs::resize_file(path, fs::file_size(path) / 2);
+    });
   }
 }
 
