@@ -5,10 +5,12 @@
 #   3. rerun the identical study with --require-warm — the client exits 3
 #      if the server recomputed anything (every stage must come from disk);
 #   4. results must be byte-identical across the restart (cmp of the CSVs);
-#   5. stop the daemon, leave two cache entries in the shapes a power loss
-#      leaves behind (one zero-filled in place, one cut to 0 bytes),
-#      restart and rerun the study: the vandalized entries must be evicted
-#      and recomputed, and the CSV must still match the cold one;
+#   5. the cache directory must hold its one log file and no per-entry
+#      file; then stop the daemon and leave the log in a shape a power loss
+#      leaves behind (its last record zero-filled in place), restart and
+#      rerun the study; stop again, cut the log mid-record, restart and
+#      rerun: each time the lost records must be recomputed, and the CSV
+#      must still match the cold one;
 #   6. stop the daemon through the wire protocol and check exit codes.
 #
 # usage: service_smoke.sh <build-dir>
@@ -51,14 +53,18 @@ start_server() {
   echo "server never reported its port"; cat "$work/server.log"; exit 1
 }
 
+stop_server() {
+  kill -TERM "$server_pid"
+  wait "$server_pid" || { echo "server exited non-zero on SIGTERM"; exit 1; }
+  server_pid=""
+}
+
 echo "== cold run =="
 start_server
 "$client" --port "$port" --demo 6 --csv "$work/cold.csv"
 
 echo "== graceful SIGTERM restart =="
-kill -TERM "$server_pid"
-wait "$server_pid" || { echo "server exited non-zero on SIGTERM"; exit 1; }
-server_pid=""
+stop_server
 
 start_server
 echo "== warm run (must hit the disk cache for every stage) =="
@@ -67,25 +73,46 @@ echo "== warm run (must hit the disk cache for every stage) =="
 echo "== results bit-identical across restart =="
 cmp "$work/cold.csv" "$work/warm.csv"
 
-echo "== power-loss shaped entries heal across a restart =="
-kill -TERM "$server_pid"
-wait "$server_pid" || { echo "server exited non-zero on SIGTERM"; exit 1; }
-server_pid=""
-entries="$(find "$work/cache" -name '*.cache' | sort | head -2)"
-zeroed="$(echo "$entries" | sed -n 1p)"
-emptied="$(echo "$entries" | sed -n 2p)"
-[ -n "$emptied" ] || { echo "fewer than two cache entries to vandalize"; exit 1; }
-head -c "$(wc -c < "$zeroed")" /dev/zero | dd of="$zeroed" conv=notrunc \
-  status=none
-: > "$emptied"
+echo "== one log file, no per-entry files =="
+log="$work/cache/entries.log"
+[ -f "$log" ] || { echo "missing $log"; exit 1; }
+if find "$work/cache" -name '*.cache' | grep -q .; then
+  echo "per-entry .cache files in $work/cache"; exit 1
+fi
 
-start_server
-"$client" --port "$port" --demo 6 --csv "$work/healed.csv" \
-  > "$work/healed.log"
-cat "$work/healed.log"
-grep -q 'misses=[1-9]' "$work/healed.log" ||
-  { echo "vandalized entries were not recomputed"; exit 1; }
-cmp "$work/cold.csv" "$work/healed.csv"
+# Byte offset of the log's last record (each record opens with its magic).
+last_record() {
+  grep -oba 'CNTICAC2' "$log" | tail -1 | cut -d: -f1
+}
+
+# Restart on the vandalized log, rerun the study, and require that the
+# lost records were recomputed into the cold run's exact CSV.
+expect_heal() {
+  start_server
+  "$client" --port "$port" --demo 6 --csv "$work/healed.csv" \
+    > "$work/healed.log"
+  cat "$work/healed.log"
+  grep -q 'misses=[1-9]' "$work/healed.log" ||
+    { echo "vandalized records were not recomputed"; exit 1; }
+  cmp "$work/cold.csv" "$work/healed.csv"
+}
+
+echo "== power-loss shaped log heals across a restart: last record zeroed =="
+stop_server
+start="$(last_record)"
+size="$(wc -c < "$log")"
+[ -n "$start" ] || { echo "no record to vandalize in $log"; exit 1; }
+head -c "$((size - start))" /dev/zero |
+  dd of="$log" oflag=seek_bytes seek="$start" conv=notrunc status=none
+expect_heal
+
+echo "== power-loss shaped log heals across a restart: cut mid-record =="
+stop_server
+start="$(last_record)"
+size="$(wc -c < "$log")"
+[ -n "$start" ] || { echo "no record to vandalize in $log"; exit 1; }
+truncate -s "$(((start + size) / 2))" "$log"
+expect_heal
 
 echo "== protocol shutdown =="
 "$client" --port "$port" --demo 0 --shutdown

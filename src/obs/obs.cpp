@@ -39,7 +39,8 @@ namespace {
 constexpr std::size_t kMaxCells = 4096;
 constexpr std::size_t kMaxGauges = 256;
 // Per-thread trace ring: power of two, ~1.3 MiB heap per traced thread,
-// allocated only while a trace sink is active on that thread.
+// allocated only while a trace sink is active on that thread; its pages
+// are faulted in only as spans fill them.
 constexpr std::uint64_t kRingCapacity = 1ull << 15;
 
 /// One thread's private metric cells. All atomics so a concurrent snapshot
@@ -51,14 +52,21 @@ struct Shard {
 /// Trace ring slot guarded by a per-slot sequence number: the writer
 /// brackets its field stores with seq = 2i+1 (write in progress) and
 /// seq = 2i+2 (slot i stable); a drain accepts a slot only when it reads
-/// the same stable value before and after copying the fields.
+/// the same stable value before and after copying the fields. The words are
+/// plain and left uninitialized, and every access goes through
+/// std::atomic_ref: a fresh ring touches no page until a span lands in it,
+/// and a drain reads only slots written since the last one.
 struct Slot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<const char*> tier{nullptr};
-  std::atomic<std::uint64_t> t0{0};
-  std::atomic<std::uint64_t> dur{0};
+  std::uint64_t seq;
+  const char* name;
+  const char* tier;
+  std::uint64_t t0;
+  std::uint64_t dur;
 };
+static_assert(alignof(std::uint64_t) >=
+                  std::atomic_ref<std::uint64_t>::required_alignment &&
+              alignof(const char*) >=
+                  std::atomic_ref<const char*>::required_alignment);
 
 /// Single-writer (owning thread) / single-drainer (registry mutex holder)
 /// ring. `head` is a monotonic write count; `drained` is the reader floor.
@@ -68,7 +76,7 @@ struct Ring {
   std::atomic<std::uint64_t> head{0};
   std::atomic<std::uint64_t> drained{0};
   std::atomic<bool> retired{false};
-  std::array<Slot, kRingCapacity> slots{};
+  std::array<Slot, kRingCapacity> slots;  // default-initialized: untouched
 };
 
 /// An open trace sink — the CNTI_TRACE file (no owner) or a TraceSession —
@@ -167,12 +175,12 @@ void ring_write(Ring& ring, const char* name, const char* tier,
                 std::uint64_t t0, std::uint64_t dur) {
   const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
   Slot& slot = ring.slots[h % kRingCapacity];
-  slot.seq.store(2 * h + 1, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.tier.store(tier, std::memory_order_relaxed);
-  slot.t0.store(t0, std::memory_order_relaxed);
-  slot.dur.store(dur, std::memory_order_relaxed);
-  slot.seq.store(2 * h + 2, std::memory_order_release);
+  std::atomic_ref(slot.seq).store(2 * h + 1, std::memory_order_relaxed);
+  std::atomic_ref(slot.name).store(name, std::memory_order_relaxed);
+  std::atomic_ref(slot.tier).store(tier, std::memory_order_relaxed);
+  std::atomic_ref(slot.t0).store(t0, std::memory_order_relaxed);
+  std::atomic_ref(slot.dur).store(dur, std::memory_order_relaxed);
+  std::atomic_ref(slot.seq).store(2 * h + 2, std::memory_order_release);
   ring.head.store(h + 1, std::memory_order_release);
 }
 
@@ -185,16 +193,20 @@ void drain_ring(Ring& ring, std::vector<TraceEvent>& out,
     lo = head - kRingCapacity;
   }
   for (std::uint64_t i = lo; i < head; ++i) {
-    const Slot& slot = ring.slots[i % kRingCapacity];
+    Slot& slot = ring.slots[i % kRingCapacity];
     const std::uint64_t stable = 2 * i + 2;
-    if (slot.seq.load(std::memory_order_acquire) != stable) continue;
+    if (std::atomic_ref(slot.seq).load(std::memory_order_acquire) != stable) {
+      continue;
+    }
     TraceEvent ev;
-    ev.name = slot.name.load(std::memory_order_relaxed);
-    ev.tier = slot.tier.load(std::memory_order_relaxed);
-    ev.t0_ns = slot.t0.load(std::memory_order_relaxed);
-    ev.dur_ns = slot.dur.load(std::memory_order_relaxed);
+    ev.name = std::atomic_ref(slot.name).load(std::memory_order_relaxed);
+    ev.tier = std::atomic_ref(slot.tier).load(std::memory_order_relaxed);
+    ev.t0_ns = std::atomic_ref(slot.t0).load(std::memory_order_relaxed);
+    ev.dur_ns = std::atomic_ref(slot.dur).load(std::memory_order_relaxed);
     ev.tid = ring.tid;
-    if (slot.seq.load(std::memory_order_relaxed) != stable) continue;
+    if (std::atomic_ref(slot.seq).load(std::memory_order_relaxed) != stable) {
+      continue;
+    }
     out.push_back(ev);
   }
   ring.drained.store(head, std::memory_order_relaxed);

@@ -66,10 +66,12 @@ struct EngineOptions {
   /// baseline the cached path must match bit-for-bit).
   bool cache_enabled = true;
   /// Optional second-level store (typically a service::DiskCache): leaf
-  /// stage results survive process restarts and are shared across
-  /// engines/daemons pointed at the same store. Ignored when the cache is
-  /// disabled. Persistence changes cost, never values — a revived entry
-  /// is bit-identical to the computed one by the codecs' construction.
+  /// stage results survive process restarts and are shared by the engines
+  /// holding the same tier object. Two DiskCache instances on one
+  /// directory (e.g. two daemons) never read a wrong value, but each may
+  /// miss or lose the other's entries. Ignored when the cache is disabled.
+  /// Persistence changes cost, never values — a revived entry is
+  /// bit-identical to the computed one by the codecs' construction.
   std::shared_ptr<CacheTier> tier;
   /// Batch execution (thread count / chunk grain) for run_batch.
   core::SweepOptions sweep{};

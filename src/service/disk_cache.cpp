@@ -1,9 +1,14 @@
 #include "service/disk_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
+#include <ostream>
+#include <stdexcept>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -15,15 +20,21 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Entry layout (little-endian):
+// Record layout (little-endian), one after another in the log:
 //   magic[8] | u32 stage_len | stage | u32 schema_len | schema |
 //   u64 key.hi | u64 key.lo | u64 payload_len | payload | u64 checksum
 // The checksum is FNV-1a-64 over every preceding byte and sits at the
 // *end* so any truncation moves or destroys it.
 constexpr char kMagic[8] = {'C', 'N', 'T', 'I', 'C', 'A', 'C', '2'};
+constexpr char kLogName[] = "entries.log";
+/// Bytes a record spends outside its stage, schema and payload.
+constexpr std::uint64_t kFrameBytes = sizeof(kMagic) + 4 + 4 + 3 * 8 + 8;
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+/// Window of the startup scan: it never holds more of the log than this.
+constexpr std::size_t kScanWindow = 64 * 1024;
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
+/// FNV-1a-64 of `bytes`, continuing from `h` so a hash can be streamed.
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t h = kFnvBasis) {
   for (const char c : bytes) {
     h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
   }
@@ -106,7 +117,7 @@ std::string encode_entry(std::string_view stage, std::string_view schema,
   return out;
 }
 
-/// Validates a raw entry file against the expected identity; returns the
+/// Validates a raw record against the expected identity; returns the
 /// payload, or nullopt on *any* mismatch (corrupt, truncated, different
 /// schema version, foreign key).
 std::optional<std::string> decode_entry(std::string_view raw,
@@ -147,33 +158,111 @@ std::optional<std::string> decode_entry(std::string_view raw,
   return std::string(payload);
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return bytes;
-}
-
-/// Stage names become filename prefixes; anything outside [A-Za-z0-9._-]
-/// is replaced so a hostile stage string cannot traverse directories.
-std::string sanitize(std::string_view stage) {
-  std::string out(stage);
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                    c == '.';
-    if (!ok) c = '_';
+/// Reads exactly `n` bytes at `offset`; false on an error or at EOF.
+bool pread_full(int fd, char* out, std::size_t n, std::uint64_t offset) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
   }
-  return out;
+  return true;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
+/// Read-ahead window over the first `end` bytes of the log for the startup
+/// scan, so the scan's memory grows with neither the log nor a record.
+class LogWindow {
+ public:
+  LogWindow(int fd, std::uint64_t end) : fd_(fd), end_(end) {}
+
+  /// Bytes [offset, offset + n), n <= kScanWindow; nullopt when they run
+  /// past the end or cannot be read (then failed() is set).
+  std::optional<std::string_view> view(std::uint64_t offset, std::uint64_t n) {
+    if (n > kScanWindow || n > end_ || offset > end_ - n) return std::nullopt;
+    if (offset < start_ || offset + n > start_ + buf_.size()) {
+      buf_.resize(std::min<std::uint64_t>(kScanWindow, end_ - offset));
+      start_ = offset;
+      if (!pread_full(fd_, buf_.data(), buf_.size(), offset)) {
+        buf_.clear();
+        failed_ = true;
+        return std::nullopt;
+      }
+    }
+    return std::string_view(buf_).substr(offset - start_, n);
+  }
+
+  /// FNV-1a-64 of bytes [offset, offset + n), streamed through the window.
+  std::optional<std::uint64_t> hash(std::uint64_t offset, std::uint64_t n) {
+    std::uint64_t h = kFnvBasis;
+    while (n > 0) {
+      const std::uint64_t piece = std::min<std::uint64_t>(n, kScanWindow);
+      const auto bytes = view(offset, piece);
+      if (!bytes) return std::nullopt;
+      h = fnv1a64(*bytes, h);
+      offset += piece;
+      n -= piece;
+    }
+    return h;
+  }
+
+  bool failed() const { return failed_; }
+  std::uint64_t end() const { return end_; }
+
+ private:
+  int fd_;
+  std::uint64_t end_;
+  std::uint64_t start_ = 0;
+  std::string buf_;
+  bool failed_ = false;
+};
+
+/// What the startup scan finds at one offset of the log.
+struct Frame {
+  enum class Kind {
+    kRecord,   ///< A whole record whose checksum holds.
+    kCorrupt,  ///< An intact frame whose checksum fails: skip `size` bytes.
+    kBroken,   ///< Bad magic or a length past the end: the torn tail.
+  };
+  Kind kind = Kind::kBroken;
+  std::uint64_t size = 0;
+  std::string stage;
+  scenario::ContentKey key;
+};
+
+Frame read_frame(LogWindow& log, std::uint64_t at) {
+  Frame f;
+  const auto head = log.view(at, sizeof(kMagic) + 4);
+  if (!head || head->substr(0, sizeof(kMagic)) !=
+                   std::string_view(kMagic, sizeof(kMagic))) {
+    return f;
+  }
+  std::uint32_t stage_len = 0;
+  Cursor(head->substr(sizeof(kMagic))).u32(&stage_len);
+  const std::uint64_t stage_at = at + sizeof(kMagic) + 4;
+  const auto stage = log.view(stage_at, stage_len + 4ull);
+  if (!stage) return f;
+  f.stage = std::string(stage->substr(0, stage_len));
+  std::uint32_t schema_len = 0;
+  Cursor(stage->substr(stage_len)).u32(&schema_len);
+  const auto tail = log.view(stage_at + stage_len + 4 + schema_len, 24);
+  if (!tail) return f;
+  Cursor c(*tail);
+  std::uint64_t payload_len = 0;
+  c.u64(&f.key.hi);
+  c.u64(&f.key.lo);
+  c.u64(&payload_len);
+  if (payload_len > log.end()) return f;
+  f.size = kFrameBytes + stage_len + schema_len + payload_len;
+  const auto trailer = log.view(at + f.size - 8, 8);
+  if (!trailer) return f;
+  std::uint64_t checksum = 0;
+  Cursor(*trailer).u64(&checksum);
+  const auto hash = log.hash(at, f.size - 8);
+  if (!hash) return f;
+  f.kind = *hash == checksum ? Frame::Kind::kRecord : Frame::Kind::kCorrupt;
+  return f;
 }
 
 /// Disk-tier obs handles (`cnti.cache.disk.*`); process-wide, shared by
@@ -200,126 +289,204 @@ const DiskObs& disk_obs() {
 
 }  // namespace
 
-DiskCache::DiskCache(DiskCacheOptions options) : options_(std::move(options)) {
+DiskCache::DiskCache(DiskCacheOptions options)
+    : options_(std::move(options)),
+      log_path_(options_.dir + "/" + kLogName) {
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   if (ec) {
     throw std::runtime_error("disk cache: cannot create directory " +
                              options_.dir + ": " + ec.message());
   }
-  // Index survivors in mtime order so their relative recency carries over;
-  // sweep temp files a crashed writer left behind (their renames never
-  // happened, so they are garbage by construction).
-  struct Found {
-    std::string path;
-    std::uint64_t size;
-    fs::file_time_type mtime;
-  };
-  std::vector<Found> found;
+  // Temps of a crashed compaction never got renamed, and legacy
+  // one-file-per-entry `*.cache` files are no longer read: both are
+  // garbage (the legacy entries cost a one-time recompute).
   for (const auto& de : fs::directory_iterator(options_.dir, ec)) {
-    if (!de.is_regular_file(ec)) continue;
     const std::string name = de.path().filename().string();
-    if (name.find(kAtomicTempMarker) != std::string::npos) {
+    if (de.is_regular_file(ec) &&
+        (name.find(kAtomicTempMarker) != std::string::npos ||
+         name.ends_with(".cache"))) {
       fs::remove(de.path(), ec);
-      continue;
     }
-    if (name.size() < 6 || name.substr(name.size() - 6) != ".cache") continue;
-    found.push_back({de.path().string(),
-                     static_cast<std::uint64_t>(de.file_size(ec)),
-                     de.last_write_time(ec)});
   }
-  std::sort(found.begin(), found.end(),
-            [](const Found& a, const Found& b) { return a.mtime < b.mtime; });
-  for (const Found& f : found) {
-    index_[f.path] = Entry{f.size, ++use_counter_};
-    total_bytes_ += f.size;
+  fd_ = ::open(log_path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+               0644);
+  if (fd_ < 0) {
+    throw std::runtime_error("disk cache: cannot open " + log_path_);
   }
-  stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
-  disk_obs().entries.set(static_cast<double>(stats_.entries));
-  disk_obs().bytes.set(static_cast<double>(stats_.bytes));
+  try {
+    scan();
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
 }
 
-std::string DiskCache::entry_path(std::string_view stage,
-                                  const scenario::ContentKey& key) const {
-  return options_.dir + "/" + sanitize(stage) + "." + hex16(key.hi) +
-         hex16(key.lo) + ".cache";
+DiskCache::~DiskCache() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (fd_ < 0) return;
+  if (log_bytes_ > live_bytes_) compact();
+  ::close(fd_);
 }
 
-void DiskCache::drop_entry(const std::string& path) {
-  const auto it = index_.find(path);
-  if (it != index_.end()) {
-    disk_obs().evicted_bytes.add(it->second.size);
-    total_bytes_ -= std::min(total_bytes_, it->second.size);
-    index_.erase(it);
+void DiskCache::scan() {
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    throw std::runtime_error("disk cache: cannot stat " + log_path_);
   }
-  std::error_code ec;
-  fs::remove(path, ec);
-  stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
-  disk_obs().entries.set(static_cast<double>(stats_.entries));
-  disk_obs().bytes.set(static_cast<double>(stats_.bytes));
+  log_bytes_ = static_cast<std::uint64_t>(st.st_size);
+  LogWindow log(fd_, log_bytes_);
+  std::uint64_t at = 0;
+  bool corrupt = false;
+  while (at < log_bytes_) {
+    Frame f = read_frame(log, at);
+    if (f.kind == Frame::Kind::kBroken) break;
+    if (f.kind == Frame::Kind::kRecord) {
+      add({std::move(f.stage), f.key}, at, f.size);
+    } else {
+      // Skipped, so a restart never resurrects it; its stage bytes cannot
+      // be trusted, so no stage slice is charged.
+      corrupt = true;
+      ++stats_.corrupt_evictions;
+      disk_obs().corrupt_evictions.add();
+    }
+    at += f.size;
+  }
+  if (at < log_bytes_ && !log.failed()) {
+    // A broken frame is the torn tail a crash or power loss leaves: cut
+    // it, so no later append sits behind it.
+    if (::ftruncate(fd_, static_cast<off_t>(at)) != 0) {
+      throw std::runtime_error("disk cache: cannot cut the torn tail of " +
+                               log_path_);
+    }
+    log_bytes_ = at;
+    ++stats_.corrupt_evictions;
+    disk_obs().corrupt_evictions.add();
+  }
+  enforce_budget(index_.end());
+  if (corrupt) {
+    compact();
+  } else {
+    maybe_compact();
+  }
+  publish_sizes();
 }
 
-void DiskCache::enforce_budget(const std::string& keep) {
-  while (total_bytes_ > options_.max_bytes && index_.size() > 1) {
+DiskCache::Index::iterator DiskCache::add(IndexKey key, std::uint64_t offset,
+                                          std::uint64_t size) {
+  const auto [it, fresh] = index_.try_emplace(std::move(key));
+  if (!fresh) live_bytes_ -= it->second.size;  // superseded: dead bytes now
+  it->second = Record{offset, size, ++use_counter_};
+  live_bytes_ += size;
+  return it;
+}
+
+void DiskCache::drop(Index::iterator it) {
+  disk_obs().evicted_bytes.add(it->second.size);
+  live_bytes_ -= it->second.size;
+  index_.erase(it);
+}
+
+void DiskCache::enforce_budget(Index::const_iterator keep) {
+  while (live_bytes_ > options_.max_bytes) {
     auto victim = index_.end();
     for (auto it = index_.begin(); it != index_.end(); ++it) {
-      if (it->first == keep) continue;
+      if (it == keep) continue;
       if (victim == index_.end() ||
           it->second.last_use < victim->second.last_use) {
         victim = it;
       }
     }
     if (victim == index_.end()) break;
-    const std::string path = victim->first;
-    drop_entry(path);
+    drop(victim);
     ++stats_.lru_evictions;
     disk_obs().lru_evictions.add();
   }
+}
+
+void DiskCache::maybe_compact() {
+  if (log_bytes_ > 2 * options_.max_bytes && log_bytes_ > live_bytes_) {
+    compact();
+  }
+}
+
+void DiskCache::compact() {
+  try {
+    const obs::ObsSpan compact_span("disk.compact", "cache");
+    std::vector<Index::iterator> order;
+    order.reserve(index_.size());
+    for (auto it = index_.begin(); it != index_.end(); ++it) {
+      order.push_back(it);
+    }
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      return a->second.last_use < b->second.last_use;
+    });
+    std::vector<std::uint64_t> offsets;
+    offsets.reserve(order.size());
+    std::uint64_t size = 0;
+    write_file_atomic(log_path_, [&](std::ostream& out) {
+      std::string record;
+      for (const auto& it : order) {
+        record.resize(it->second.size);
+        if (!pread_full(fd_, record.data(), record.size(),
+                        it->second.offset)) {
+          throw std::runtime_error("disk cache: cannot read " + log_path_);
+        }
+        out.write(record.data(), static_cast<std::streamsize>(record.size()));
+        offsets.push_back(size);
+        size += record.size();
+      }
+    });
+    // Until the new log is open, the old descriptor still reads every
+    // record at its old offset, so a failure here loses nothing.
+    const int fd = ::open(log_path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+    if (fd < 0) return;
+    ::close(fd_);
+    fd_ = fd;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i]->second.offset = offsets[i];
+    }
+    log_bytes_ = size;
+  } catch (...) {
+    // Best-effort: the old log stays in use, dead bytes and all.
+  }
+}
+
+void DiskCache::publish_sizes() {
+  stats_.entries = index_.size();
+  stats_.bytes = live_bytes_;
+  disk_obs().entries.set(static_cast<double>(stats_.entries));
+  disk_obs().bytes.set(static_cast<double>(stats_.bytes));
 }
 
 std::optional<std::string> DiskCache::load(std::string_view stage,
                                            std::string_view value_schema,
                                            const scenario::ContentKey& key) {
   const obs::ObsSpan load_span("disk.load", "cache", disk_obs().load_hist);
-  const std::string path = entry_path(stage, key);
-  std::optional<std::string> raw;
-  try {
-    raw = read_file(path);
-  } catch (...) {
-    raw = std::nullopt;
-  }
   const std::lock_guard<std::mutex> lock(mu_);
   DiskStageStats& slice = stage_stats_[std::string(stage)];
-  if (!raw) {
-    ++stats_.misses;
-    ++slice.misses;
-    disk_obs().misses.add();
-    return std::nullopt;
+  const auto it = index_.find(IndexKey{std::string(stage), key});
+  std::optional<std::string> payload;
+  if (it != index_.end()) {
+    std::string raw(it->second.size, '\0');
+    if (pread_full(fd_, raw.data(), raw.size(), it->second.offset)) {
+      payload = decode_entry(raw, stage, value_schema, key);
+    }
+    if (!payload) {
+      // Corrupt, truncated, or written under a different schema version:
+      // its record is dead bytes now, and the value is recomputed.
+      drop(it);
+      publish_sizes();
+      ++stats_.corrupt_evictions;
+      ++slice.corrupt_evictions;
+      disk_obs().corrupt_evictions.add();
+    }
   }
-  std::optional<std::string> payload =
-      decode_entry(*raw, stage, value_schema, key);
   if (!payload) {
-    // Corrupt, truncated, or written under a different schema version:
-    // delete it so the slot heals, and recompute.
-    drop_entry(path);
-    ++stats_.corrupt_evictions;
     ++stats_.misses;
-    ++slice.corrupt_evictions;
     ++slice.misses;
-    disk_obs().corrupt_evictions.add();
     disk_obs().misses.add();
     return std::nullopt;
-  }
-  auto it = index_.find(path);
-  if (it == index_.end()) {
-    // Readable entry the startup scan never saw (e.g. shared directory);
-    // adopt it.
-    it = index_.emplace(path, Entry{raw->size(), 0}).first;
-    total_bytes_ += raw->size();
-    stats_.entries = index_.size();
-    stats_.bytes = total_bytes_;
   }
   it->second.last_use = ++use_counter_;
   ++stats_.hits;
@@ -332,37 +499,43 @@ void DiskCache::store(std::string_view stage, std::string_view value_schema,
                       const scenario::ContentKey& key,
                       std::string_view bytes) {
   const obs::ObsSpan store_span("disk.store", "cache", disk_obs().store_hist);
-  const std::string path = entry_path(stage, key);
-  const std::string entry = encode_entry(stage, value_schema, key, bytes);
-  try {
-    write_file_atomic(path, entry);
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(mu_);
+  const std::string record = encode_entry(stage, value_schema, key, bytes);
+  const std::lock_guard<std::mutex> lock(mu_);
+  DiskStageStats& slice = stage_stats_[std::string(stage)];
+  const ssize_t written =
+      fd_ < 0 ? -1 : ::write(fd_, record.data(), record.size());
+  // O_APPEND leaves the file offset at the end of what was just written,
+  // wherever another instance's appends put it.
+  const off_t end = written < 0 ? -1 : ::lseek(fd_, 0, SEEK_CUR);
+  if (written != static_cast<ssize_t>(record.size()) || end < 0) {
+    if (written > 0) {
+      // Roll a short append back: a torn record must never sit in front
+      // of later good ones. If even that fails, stop using the log.
+      if (end >= 0 && ::ftruncate(fd_, end - written) == 0) {
+        log_bytes_ = static_cast<std::uint64_t>(end - written);
+      } else {
+        ::close(fd_);
+        fd_ = -1;
+        index_.clear();
+        live_bytes_ = 0;
+        publish_sizes();
+      }
+    }
     ++stats_.store_failures;
-    ++stage_stats_[std::string(stage)].store_failures;
+    ++slice.store_failures;
     disk_obs().store_failures.add();
     return;
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(path);
-  if (it != index_.end()) {
-    total_bytes_ -= std::min(total_bytes_, it->second.size);
-    it->second.size = entry.size();
-  } else {
-    it = index_.emplace(path, Entry{entry.size(), 0}).first;
-  }
-  total_bytes_ += entry.size();
-  it->second.last_use = ++use_counter_;
+  log_bytes_ = static_cast<std::uint64_t>(end);
+  const auto it = add({std::string(stage), key}, log_bytes_ - record.size(),
+                      record.size());
   ++stats_.stores;
-  ++stage_stats_[std::string(stage)].stores;
+  ++slice.stores;
   disk_obs().stores.add();
-  enforce_budget(path);
-  stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
-  disk_obs().entries.set(static_cast<double>(stats_.entries));
-  disk_obs().bytes.set(static_cast<double>(stats_.bytes));
+  enforce_budget(it);
+  maybe_compact();
+  publish_sizes();
 }
-
 DiskCacheStats DiskCache::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;
