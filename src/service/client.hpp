@@ -51,7 +51,7 @@ class ScenarioClient {
   /// {"counters":{...},"gauges":{...},"histograms":{...}}.
   JsonValue metrics();
 
-  /// Asks the daemon to shut down gracefully (it drains queued work
+  /// Asks the daemon to shut down gracefully (accepted runs finish
   /// first); returns once the server acknowledges.
   void request_shutdown();
 

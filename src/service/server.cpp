@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <system_error>
 
 #include "common/json_sink.hpp"
 #include "obs/obs.hpp"
@@ -32,9 +33,7 @@ struct ServiceObs {
   obs::Counter batches = obs::counter("cnti.service.batches");
   obs::Counter scenarios = obs::counter("cnti.service.scenarios");
   obs::Counter writes = obs::counter("cnti.service.writes");
-  obs::Gauge queue_depth = obs::gauge("cnti.service.queue_depth");
   obs::Histogram request_hist = obs::histogram("cnti.service.request_ns");
-  obs::Histogram dispatch_hist = obs::histogram("cnti.service.dispatch_ns");
 };
 
 const ServiceObs& service_obs() {
@@ -103,7 +102,6 @@ void ScenarioServer::start() {
     CNTI_EXPECTS(!started_, "scenario server already started");
     started_ = true;
     accepting_jobs_ = true;
-    dispatcher_running_ = true;
   }
   // The daemon always collects span latency histograms (the `metrics` verb
   // serves them live); stop() releases the reference symmetrically.
@@ -128,7 +126,6 @@ void ScenarioServer::start() {
   }
   port_ = ntohs(addr.sin_port);
   accept_thread_ = std::thread([this] { accept_loop(); });
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 }
 
 void ScenarioServer::accept_loop() {
@@ -141,63 +138,30 @@ void ScenarioServer::accept_loop() {
     }
     service_obs().connections.add();
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void ScenarioServer::dispatch_loop() {
-  while (true) {
-    std::vector<std::shared_ptr<Job>> batch_jobs;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock,
-                     [&] { return !queue_.empty() || !dispatcher_running_; });
-      if (queue_.empty() && !dispatcher_running_) return;
-      // Coalesce everything currently queued into one engine batch: the
-      // queue-batching contract that lets N clients share cache locality.
-      batch_jobs.assign(queue_.begin(), queue_.end());
-      queue_.clear();
-      dispatch_in_flight_ = true;
-      ++batches_dispatched_;
+    // Reap the connections that closed since the last accept. A done
+    // reader has already released conn_mu_, so the join cannot block on it.
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = conns_.erase(it);
     }
-    service_obs().queue_depth.set(0.0);
-    std::vector<scenario::Scenario> merged;
-    for (const auto& job : batch_jobs) {
-      merged.insert(merged.end(), job->scenarios.begin(),
-                    job->scenarios.end());
-    }
-    service_obs().batches.add();
-    service_obs().scenarios.add(merged.size());
-    const obs::ObsSpan dispatch_span("service.dispatch", "service",
-                                     service_obs().dispatch_hist);
+    Connection& conn = conns_.emplace_back();
+    conn.fd = fd;
     try {
-      std::vector<scenario::ScenarioResult> results =
-          engine_.run_batch(merged);
-      std::size_t offset = 0;
-      for (const auto& job : batch_jobs) {
-        const std::size_t n = job->scenarios.size();
-        job->promise.set_value(std::vector<scenario::ScenarioResult>(
-            results.begin() + static_cast<std::ptrdiff_t>(offset),
-            results.begin() + static_cast<std::ptrdiff_t>(offset + n)));
-        offset += n;
-      }
-    } catch (...) {
-      // One poisoned scenario fails the merged batch; every waiting client
-      // gets the exception (their connections report it and stay open).
-      for (const auto& job : batch_jobs) {
-        job->promise.set_exception(std::current_exception());
-      }
+      conn.thread = std::thread([this, &conn] { serve_connection(conn); });
+    } catch (const std::system_error&) {
+      // Out of threads: drop this connection and keep serving the others.
+      ::close(fd);
+      conns_.pop_back();
     }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      dispatch_in_flight_ = false;
-    }
-    drained_cv_.notify_all();
   }
 }
 
-void ScenarioServer::serve_connection(int fd) {
+void ScenarioServer::serve_connection(Connection& conn) {
+  const int fd = conn.fd;
   std::string buffer;
   char chunk[65536];
   while (true) {
@@ -218,7 +182,9 @@ void ScenarioServer::serve_connection(int fd) {
       handle_request_line(fd, line);
     }
   }
+  const std::lock_guard<std::mutex> lock(conn_mu_);
   ::close(fd);
+  conn.done = true;
 }
 
 void ScenarioServer::handle_request_line(int fd, const std::string& line) {
@@ -234,8 +200,7 @@ void ScenarioServer::handle_request_line(int fd, const std::string& line) {
     }
     if (type == "stats") {
       std::ostringstream out;
-      out << "{\"type\": \"stats\", \"batches_dispatched\": "
-          << batches_dispatched() << ", \"cache\": ";
+      out << "{\"type\": \"stats\", \"cache\": ";
       scenario::write_cache_stats_json_object(out, engine_.cache(), "");
       if (const auto disk = std::dynamic_pointer_cast<const DiskCache>(
               engine_.cache().tier())) {
@@ -270,31 +235,27 @@ void ScenarioServer::handle_request_line(int fd, const std::string& line) {
     std::vector<scenario::Scenario> scenarios;
     for (const JsonValue& v : req.at("scenarios").as_array()) {
       scenario::Scenario s = scenario_from_json(v);
-      // Validate now, per request, so a bad scenario errors this client
-      // instead of poisoning the coalesced batch everyone shares.
+      // Validate the whole request before running any of it, so a bad
+      // scenario errors this client without a partial engine run.
       core::validate_multiscale_input(scenario::to_multiscale_input(s));
       scenarios.push_back(std::move(s));
     }
 
-    auto job = std::make_shared<Job>();
-    job->scenarios = std::move(scenarios);
-    std::future<std::vector<scenario::ScenarioResult>> fut =
-        job->promise.get_future();
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (!accepting_jobs_) {
         send_line(fd, error_line("server is shutting down"));
         return;
       }
-      queue_.push_back(job);
-      service_obs().queue_depth.set(static_cast<double>(queue_.size()));
     }
-    queue_cv_.notify_one();
+    service_obs().batches.add();
+    service_obs().scenarios.add(scenarios.size());
+    const std::vector<scenario::ScenarioResult> results =
+        engine_.run_batch(scenarios);
 
     // The whole reply goes out in one write: a write per line would let
     // Nagle's algorithm hold each later line until the client's delayed
     // ACK of the previous one (~40 ms per reply).
-    const std::vector<scenario::ScenarioResult> results = fut.get();
     std::ostringstream reply;
     for (std::size_t i = 0; i < results.size(); ++i) {
       reply << "{\"type\": \"result\", \"index\": " << i
@@ -313,24 +274,13 @@ void ScenarioServer::handle_request_line(int fd, const std::string& line) {
 
 void ScenarioServer::stop() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    const std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopped_) return;
     stopped_ = true;
-    accepting_jobs_ = false;  // new "run" requests are refused...
+    accepting_jobs_ = false;  // new "run" requests are refused
     shutdown_requested_ = true;
   }
   shutdown_cv_.notify_all();
-
-  // ...but everything already queued is drained first: accepted work is
-  // never dropped by a graceful stop.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained_cv_.wait(lock,
-                     [&] { return queue_.empty() && !dispatch_in_flight_; });
-    dispatcher_running_ = false;
-  }
-  queue_cv_.notify_all();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
 
   // Shut the listener down so the accept loop unblocks and exits; the
   // descriptor is closed and reset only after the join, so accept_loop
@@ -342,21 +292,17 @@ void ScenarioServer::stop() {
     listen_fd_ = -1;
   }
 
-  // Half-close the connections (SHUT_RD): their readers see EOF and exit,
-  // but any response still being streamed flushes unharmed.
+  // Half-close the open connections (SHUT_RD): their readers see EOF and
+  // exit, but a run already accepted finishes and its reply still flushes.
+  // With the accept thread gone, only stop() touches the list itself.
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+    for (const Connection& conn : conns_) {
+      if (!conn.done) ::shutdown(conn.fd, SHUT_RD);
+    }
   }
-  std::list<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-    conn_fds_.clear();
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
   obs::set_timing_enabled(false);
 }
 
@@ -365,11 +311,6 @@ bool ScenarioServer::wait_for_shutdown_request(
   std::unique_lock<std::mutex> lock(mu_);
   return shutdown_cv_.wait_for(lock, timeout,
                                [&] { return shutdown_requested_; });
-}
-
-std::uint64_t ScenarioServer::batches_dispatched() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return batches_dispatched_;
 }
 
 }  // namespace cnti::service

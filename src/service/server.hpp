@@ -16,25 +16,23 @@
 // and leaves the connection usable — framing is per line, so one bad
 // request cannot poison the next.
 //
-// Concurrency: each connection gets a reader thread; "run" submissions from
-// all connections land in one queue that a single dispatcher drains,
-// coalescing everything queued into a single engine.run_batch call — so N
-// clients hammering the daemon share the batch-level cache locality (and
-// the thread pool) exactly like one big batch would, and results are still
-// bit-identical to per-client direct ScenarioEngine::run calls because the
-// engine guarantees schedule-independence. Graceful stop drains the queue
-// (accepted work is never dropped), then unwinds the threads.
+// Concurrency: each connection gets a reader thread, and a "run" request
+// executes on that thread with a direct engine.run_batch call. Clients
+// share work through the engine's memo cache, which computes each
+// (stage, key) once even when connections ask for it at the same time, and
+// results are bit-identical to direct ScenarioEngine::run calls because the
+// engine is schedule-independent. Nothing bounds the number of connections
+// yet, so concurrent engine runs are bounded only by open connections x
+// sweep.threads. Graceful stop refuses new runs but lets every accepted
+// run finish and reply before its thread is joined.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "scenario/engine.hpp"
 #include "service/protocol.hpp"
@@ -60,16 +58,17 @@ class ScenarioServer {
   ScenarioServer(const ScenarioServer&) = delete;
   ScenarioServer& operator=(const ScenarioServer&) = delete;
 
-  /// Binds 127.0.0.1:<port>, starts the accept and dispatcher threads.
+  /// Binds 127.0.0.1:<port> and starts the accept thread.
   /// Throws std::runtime_error if the socket cannot be set up.
   void start();
 
   /// The bound port (valid after start()).
   std::uint16_t port() const { return port_; }
 
-  /// Graceful stop: refuse new work, drain every queued batch (their
-  /// clients receive full results), then shut the connections down and
-  /// join all threads. Idempotent.
+  /// Graceful stop: refuse new runs, close the listener, shut the open
+  /// connections' read side and join their threads. A run already
+  /// accepted finishes and its client receives the full reply first.
+  /// Idempotent.
   void stop();
 
   /// Blocks until a client sends {"type": "shutdown"} (or stop() is
@@ -79,19 +78,18 @@ class ScenarioServer {
 
   const scenario::ScenarioEngine& engine() const { return engine_; }
 
-  /// Number of engine.run_batch dispatches (coalescing means this can be
-  /// far below the number of "run" requests).
-  std::uint64_t batches_dispatched() const;
-
  private:
-  struct Job {
-    std::vector<scenario::Scenario> scenarios;
-    std::promise<std::vector<scenario::ScenarioResult>> promise;
+  /// One accepted connection. The reader thread closes `fd` and sets
+  /// `done` under conn_mu_, so stop() never shuts down a descriptor number
+  /// the process has since reused; accept_loop joins done entries.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    bool done = false;
   };
 
   void accept_loop();
-  void dispatch_loop();
-  void serve_connection(int fd);
+  void serve_connection(Connection& conn);
   void handle_request_line(int fd, const std::string& line);
 
   ServerOptions options_;
@@ -100,24 +98,16 @@ class ScenarioServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;    // dispatcher wakeups
-  std::condition_variable drained_cv_;  // stop() waits for drain
+  std::mutex mu_;
   std::condition_variable shutdown_cv_;
-  std::deque<std::shared_ptr<Job>> queue_;
-  bool dispatch_in_flight_ = false;
   bool accepting_jobs_ = false;
-  bool dispatcher_running_ = false;
   bool shutdown_requested_ = false;
   bool started_ = false;
   bool stopped_ = false;
-  std::uint64_t batches_dispatched_ = 0;
 
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::list<std::thread> conn_threads_;
+  std::list<Connection> conns_;
 };
 
 }  // namespace cnti::service

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -158,6 +159,22 @@ class RawConnection {
       if (n <= 0) return;
       rest.remove_prefix(static_cast<std::size_t>(n));
     }
+  }
+
+  bool send_ping_and_expect_pong() {
+    send_line(R"({"type": "ping"})");
+    return read_line() == R"({"type": "pong"})";
+  }
+
+  /// Half-closes the send side, waits until the server has closed its end
+  /// of the connection (EOF), then closes this end.
+  void hang_up() {
+    ::shutdown(fd_, SHUT_WR);
+    char chunk[4096];
+    while (::recv(fd_, chunk, sizeof(chunk), 0) > 0) {
+    }
+    ::close(fd_);
+    fd_ = -1;
   }
 
   std::string read_line() {
@@ -1036,6 +1053,13 @@ TEST(EngineTier, PowerLossShapedEntriesRecomputeBitwiseAndHeal) {
 // ---------------------------------------------------------------------------
 // Daemon + wire client.
 
+/// A process-wide counter's current value; 0 before it is first registered.
+std::uint64_t counter_value(const std::string& name) {
+  const auto snap = cnti::obs::metrics_snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
 TEST(ScenarioService, PingStatsAndShutdownRequest) {
   sv::ScenarioServer server(sv::ServerOptions{});
   server.start();
@@ -1103,6 +1127,7 @@ TEST(ScenarioService, ConcurrentClientsAreBitIdenticalToDirectRuns) {
   constexpr int kClients = 4;
   const auto batch = full_batch(3);
   std::vector<std::vector<sc::ScenarioResult>> received(kClients);
+  const std::uint64_t batches_before = counter_value("cnti.service.batches");
   {
     std::vector<std::thread> threads;
     threads.reserve(kClients);
@@ -1114,9 +1139,9 @@ TEST(ScenarioService, ConcurrentClientsAreBitIdenticalToDirectRuns) {
     }
     for (auto& t : threads) t.join();
   }
-  const std::uint64_t batches = server.batches_dispatched();
-  EXPECT_GE(batches, 1u);
-  EXPECT_LE(batches, static_cast<std::uint64_t>(kClients));
+  // Each "run" request is one engine batch on its own connection thread.
+  EXPECT_EQ(counter_value("cnti.service.batches") - batches_before,
+            static_cast<std::uint64_t>(kClients));
   server.stop();
 
   const sc::ScenarioEngine direct;
@@ -1140,7 +1165,7 @@ TEST(ScenarioService, WarmRestartedDaemonServesFromDiskBitIdentically) {
     server.start();
     sv::ScenarioClient client(server.port());
     cold = client.run(batch);
-    server.stop();  // graceful: queue drained before exit
+    server.stop();  // graceful: accepted runs finish before exit
   }
   sv::ServerOptions options;
   options.engine = tiered_options(dir.path());
@@ -1245,6 +1270,113 @@ TEST(ScenarioService, RunAfterStopIsRefusedNotHung) {
   conn.send_line(R"({"type": "ping"})");
   (void)conn.read_line();
   SUCCEED();
+}
+
+TEST(ScenarioService, RunInFlightAtStopCompletesBitIdentically) {
+  sv::ScenarioServer server(sv::ServerOptions{});
+  server.start();
+  const auto batch = full_batch(4);
+  RawConnection late(server.port());
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(late.send_ping_and_expect_pong());
+
+  const std::uint64_t engine_batches = counter_value("cnti.engine.batches");
+  std::vector<sc::ScenarioResult> received;
+  std::thread runner([&] {
+    sv::ScenarioClient client(server.port());
+    received = client.run(batch);
+  });
+  // Begin the stop only once the engine is executing the run.
+  while (counter_value("cnti.engine.batches") == engine_batches) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  std::thread stopper([&] { server.stop(); });
+  ASSERT_TRUE(
+      server.wait_for_shutdown_request(std::chrono::milliseconds(5000)));
+
+  // A run sent after stop() began is refused or reads EOF, never hangs.
+  late.send_line(R"({"type": "run", "scenarios": [{}]})");
+  const std::string reply = late.read_line();
+  if (!reply.empty()) {
+    EXPECT_EQ(sv::parse_json(reply).at("type").as_string(), "error");
+  }
+  stopper.join();
+  runner.join();
+
+  // The accepted run was not dropped: every result, bitwise.
+  const sc::ScenarioEngine direct;
+  const auto want = direct.run_batch(batch);
+  ASSERT_EQ(received.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_bit_identical(received[i], want[i]);
+  }
+}
+
+TEST(ScenarioService, StopLeavesReusedDescriptorsAlone) {
+  sv::ScenarioServer server(sv::ServerOptions{});
+  server.start();
+  constexpr int kClients = 4;
+  for (int c = 0; c < kClients; ++c) {
+    RawConnection conn(server.port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.send_ping_and_expect_pong());
+    conn.hang_up();  // returns once the server closed its descriptor
+  }
+  // The lowest free descriptor numbers are reused: these socketpairs take
+  // the numbers the server's closed connections had.
+  int pairs[kClients][2];
+  for (auto& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  }
+  server.stop();
+
+  for (const auto& pair : pairs) {
+    for (int from = 0; from < 2; ++from) {
+      const int to = 1 - from;
+      const char sent = 'x';
+      ASSERT_EQ(::send(pair[from], &sent, 1, MSG_NOSIGNAL), 1)
+          << "fd " << pair[from] << " was shut down by stop()";
+      char got = 0;
+      EXPECT_EQ(::recv(pair[to], &got, 1, MSG_DONTWAIT), 1)
+          << "fd " << pair[to] << " was shut down by stop()";
+      EXPECT_EQ(got, sent);
+    }
+  }
+  for (const auto& pair : pairs) {
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
+}
+
+TEST(ScenarioService, ClosedConnectionThreadsAreReapedOnTheNextAccept) {
+  // An exited but unjoined reader keeps its whole stack mapped, so leaked
+  // connection threads show up as virtual size, not as live threads.
+  const auto vm_size_kb = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+    }
+    return -1L;
+  };
+  if (vm_size_kb() < 0) GTEST_SKIP() << "needs /proc/self/status";
+  sv::ScenarioServer server(sv::ServerOptions{});
+  server.start();
+  const auto connect_and_hang_up = [&] {
+    RawConnection conn(server.port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.send_ping_and_expect_pong());
+    conn.hang_up();
+  };
+  for (int c = 0; c < 4; ++c) connect_and_hang_up();  // warm stacks, arenas
+  const long before = vm_size_kb();
+  for (int c = 0; c < 64; ++c) connect_and_hang_up();
+  RawConnection live(server.port());
+  ASSERT_TRUE(live.send_ping_and_expect_pong());
+  // Each accept joined the previous reader, so its stack was reused; 64
+  // leaked readers would add 64 thread stacks (128 MiB at 2 MiB each).
+  EXPECT_LT(vm_size_kb() - before, 64L * 1024);
+  server.stop();
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //
 // Prints "SERVICE_PORT=<port>" once listening (scripts capture it when
 // using an ephemeral --port 0). Exits 0 on SIGTERM/SIGINT or a client
-// {"type": "shutdown"} — both drain queued work before stopping.
+// {"type": "shutdown"} — both let accepted runs finish and reply first.
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
         break;
       }
     }
-    std::cout << "scenario_server: shutting down (draining queue)"
+    std::cout << "scenario_server: shutting down (finishing accepted runs)"
               << std::endl;
     server.stop();
   } catch (const std::exception& e) {
